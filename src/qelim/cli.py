@@ -50,7 +50,7 @@ def _fmt(value):
 def _angle_from_deg(deg: float) -> Angle:
     if not (0.0 <= deg <= 90.0):
         raise UnsupportedAngle(
-            f"--two-theta-deg must lie in [0, 90] degrees, got {deg:g}"
+            f"--two-theta-deg must lie in [0, 90] degrees, got {deg!r}"
         )
     return Angle.from_two_theta_deg(deg)
 
@@ -210,7 +210,7 @@ def _cmd_sweep(args) -> int:
         "from": args.from_deg,
         "to": args.to_deg,
         "steps": args.steps,
-        "n": args.n,
+        "n": nq,
     }
     result = {"columns": columns, "rows": [[r.get(c) for c in columns] for r in rows]}
     _emit(args, "sweep", config, result, rows, columns)

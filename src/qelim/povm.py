@@ -7,6 +7,7 @@ special: an ordinary effect whose exclusion set is empty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,8 +146,12 @@ def validate(povm: Povm, ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Valida
 
     Unambiguity is checked against the ensemble: for every effect and
     every pattern it claims to exclude, the click probability on that
-    ensemble state must vanish within tol.
+    ensemble state must vanish within tol. tol must be finite and
+    nonnegative: every comparison with NaN is false, so a NaN tol would
+    pass any POVM.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     dim = povm.dim
     if ensemble.dim != dim:
         raise DimensionMismatch(

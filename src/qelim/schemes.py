@@ -68,7 +68,7 @@ def pbr_basis(angle: Angle, zero_plus: bool = False) -> Povm:
     """
     if abs(angle.overlap - 2.0 ** -0.5) > _PBR_OVERLAP_TOL:
         raise UnsupportedAngle(
-            f"conclusive basis needs 2*theta = 45 deg, got {angle.two_theta_deg:.6g} deg"
+            f"conclusive basis needs 2*theta = 45 deg, got {angle.two_theta_deg!r} deg"
         )
     if zero_plus:
         plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -101,7 +101,7 @@ def eliminate_one(angle: Angle) -> Povm:
     if not (0.0 <= angle.two_theta < math.pi / 4.0):
         raise UnsupportedAngle(
             f"single elimination needs 0 <= 2*theta < 45 deg, got "
-            f"{angle.two_theta_deg:.6g} deg; the ancilla construction covers "
+            f"{angle.two_theta_deg!r} deg; the ancilla construction covers "
             f"45 to 90 deg"
         )
     t = math.tan(angle.theta)
@@ -187,7 +187,7 @@ def ancilla_eliminate_one(angle: Angle, completion_order=(0, 1, 2, 3)) -> Povm:
     if not (math.pi / 8.0 - 1e-12 <= angle.theta <= math.pi / 4.0 + 1e-12):
         raise UnsupportedAngle(
             f"ancilla construction needs 45 <= 2*theta <= 90 deg, got "
-            f"{angle.two_theta_deg:.6g} deg; eliminate_one covers 0 to 45 deg"
+            f"{angle.two_theta_deg!r} deg; eliminate_one covers 0 to 45 deg"
         )
     v = _coupling_unitary(angle, completion_order)
 

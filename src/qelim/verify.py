@@ -5,8 +5,10 @@ over the measurement families, blind to the closed forms they are
 judged against; agreement is evidence, a search result beating a
 closed form is a red flag the report surfaces as a failed verdict.
 
-monte_carlo draws finite-shot statistics with a counter-based
-generator. Shots are partitioned into fixed blocks keyed by
+monte_carlo draws finite-shot outcome counts with a counter-based
+generator. Shots are independent and only their counts are kept, so
+the counts of a block are one multinomial draw over the ensemble-averaged
+click distribution. Shots are partitioned into fixed blocks keyed by
 (seed, block index), and block counts are summed, so the result is a
 pure function of (povm, ensemble, shots, seed) no matter how the
 blocks would be distributed over workers.
@@ -53,7 +55,11 @@ class CertReport:
 
 @dataclass
 class SimReport:
-    """Finite-shot outcome counts next to the analytic probabilities."""
+    """Finite-shot outcome counts next to the analytic probabilities.
+
+    chi2 is Pearson's statistic of the counts over the outcomes with
+    nonzero probability, and dof is their number minus one.
+    """
 
     shots: int
     seed: int
@@ -63,6 +69,8 @@ class SimReport:
     analytic: list
     max_abs_dev: float
     avg_eliminated: float
+    chi2: float
+    dof: int
 
 
 def certify_one(angle: Angle, grid_steps: int = 61, refine_iters: int = 40) -> CertReport:
@@ -244,48 +252,37 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def monte_carlo(povm: Povm, ensemble: Ensemble, shots: int, seed: int) -> SimReport:
-    """Sample preparation-then-outcome shots, reproducibly.
+    """Sample outcome counts of preparation-then-measurement shots, reproducibly.
 
-    A state index is drawn from the priors, then an outcome from that
-    state's exact click distribution. Results are bitwise reproducible
-    for fixed (povm, ensemble, shots, seed).
+    Drawing a state from the priors and then an outcome from its click
+    distribution gives each shot the outcome distribution
+    pbar = priors @ clicks, so the counts are Multinomial(shots, pbar).
+    Each block of BLOCK_SIZE shots takes one multinomial draw from the
+    generator keyed by (seed, block index), which costs O(outcomes)
+    rather than O(shots). Results are bitwise reproducible for fixed
+    (povm, ensemble, shots, seed).
     """
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    shots = int(shots)
     report = validate(povm, ensemble)
     if not report.ok:
         raise InvalidPovm("; ".join(report.violations))
 
-    m = len(povm.effects)
-    probs = np.zeros((ensemble.size, m))
-    for j, e in enumerate(povm.effects):
-        for i, s in enumerate(ensemble.states):
-            probs[i, j] = max(0.0, float(np.real(np.vdot(s, e.op @ s))))
-    probs /= probs.sum(axis=1, keepdims=True)
-    outcome_cdf = np.cumsum(probs, axis=1)
-    outcome_cdf[:, -1] = 1.0
-    prior_cdf = np.cumsum(np.asarray(ensemble.priors, dtype=float))
-    prior_cdf[-1] = 1.0
-
-    counts = np.zeros(m, dtype=np.int64)
-    done = 0
-    block = 0
-    while done < shots:
-        size = min(BLOCK_SIZE, shots - done)
-        rng = _block_rng(seed, block)
-        u_state = rng.random(size)
-        u_out = rng.random(size)
-        states = np.searchsorted(prior_cdf, u_state, side="right")
-        for i in np.unique(states):
-            mask = states == i
-            picks = np.searchsorted(outcome_cdf[i], u_out[mask], side="right")
-            counts += np.bincount(picks, minlength=m)
-        done += size
-        block += 1
-
     stats = outcome_probabilities(povm, ensemble)
+    pbar = np.clip(stats.probs, 0.0, None)
+    pbar /= pbar.sum()
+    counts = np.zeros(pbar.size, dtype=np.int64)
+    for block, start in enumerate(range(0, shots, BLOCK_SIZE)):
+        size = min(BLOCK_SIZE, shots - start)
+        counts += _block_rng(seed, block).multinomial(size, pbar)
+
     freqs = counts / shots
     sizes = np.array([e.excludes.size for e in povm.effects], dtype=float)
+    live = pbar > 0.0
+    expected = shots * pbar[live]
     return SimReport(
         shots=shots,
         seed=seed,
@@ -295,4 +292,6 @@ def monte_carlo(povm: Povm, ensemble: Ensemble, shots: int, seed: int) -> SimRep
         analytic=[float(p) for p in stats.probs],
         max_abs_dev=float(np.max(np.abs(freqs - stats.probs))),
         avg_eliminated=float(np.dot(freqs, sizes)),
+        chi2=float(np.sum((counts[live] - expected) ** 2 / expected)),
+        dof=int(np.count_nonzero(live)) - 1,
     )

@@ -80,6 +80,32 @@ class TestValidateCommand:
         assert code == 2
         assert "90" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
+    def test_bad_tol_exits_two(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys,
+            ["validate", "--scheme", "pbr", "--two-theta-deg", "45", f"--tol={tol}"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
+
+    @pytest.mark.parametrize(
+        "scheme, deg",
+        [
+            ("pbr", "45.0000001"),
+            ("ancilla-one", "44.9999999"),
+            ("usd", "90.0000001"),
+        ],
+    )
+    def test_domain_error_shows_exact_angle(self, capsys, scheme, deg):
+        # the rejected angle must not round to one that would be accepted
+        code, _, err = run_cli(
+            capsys, ["validate", "--scheme", scheme, "--two-theta-deg", deg]
+        )
+        assert code == 2
+        assert f"got {deg}" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -234,6 +260,29 @@ class TestSweepCommand:
         assert len(doc["result"]["rows"]) == 3
         assert doc["config"]["steps"] == 3
 
+    @pytest.mark.parametrize("scheme, n, want", [("usd", "2", 1), ("local-usd", "3", 3)])
+    def test_config_records_qubit_count(self, capsys, scheme, n, want):
+        code, out, _ = run_cli(
+            capsys,
+            [
+                "sweep",
+                "--scheme",
+                scheme,
+                "--from",
+                "10",
+                "--to",
+                "90",
+                "--steps",
+                "2",
+                "--n",
+                n,
+                "--format",
+                "json",
+            ],
+        )
+        assert code == 0
+        assert parse_json(out)["config"]["n"] == want
+
     def test_bad_ranges(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -308,6 +357,19 @@ class TestSimulateCommand:
         code, out, _ = run_cli(capsys, self.ARGS + ["--seed", "2"])
         assert code == 0
         assert sum(json.loads(out)["result"]["counts"]) == 20000
+
+    def test_result_keys_unchanged(self, capsys):
+        # the sampler's chi2 and dof stay out of the default output
+        code, out, _ = run_cli(capsys, self.ARGS)
+        assert code == 0
+        assert list(parse_json(out)["result"]) == [
+            "labels",
+            "counts",
+            "freqs",
+            "analytic",
+            "max_abs_dev",
+            "avg_eliminated",
+        ]
 
 
 class TestCertifyCommand:

@@ -148,6 +148,16 @@ class TestValidate:
     def test_default_tol_value(self):
         assert DEFAULT_TOL == 1e-10
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+    def test_rejects_nonfinite_or_negative_tol(self, tol):
+        # a NaN tolerance would let every comparison pass
+        ens = uniform_ensemble(Angle.from_two_theta_deg(45.0), 1)
+        p = Povm(
+            effects=(Effect(op=np.eye(2) / 2, excludes=ExclusionSet(n=1, mask=0)),)
+        )
+        with pytest.raises(ValueError, match="tol"):
+            validate(p, ens, tol=tol)
+
 
 class TestOutcomeStats:
     def test_pbr_uniform_quarters(self):

@@ -1,5 +1,7 @@
 """Tests for numeric certification and the Monte Carlo sampler."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -184,11 +186,77 @@ class TestMonteCarlo:
         ens = uniform_ensemble(a, 2)
         whole = monte_carlo(povm, ens, shots=2 * BLOCK_SIZE, seed=11)
         assert sum(whole.counts) == 2 * BLOCK_SIZE
+        # block 0 is shared, so the longer run only adds block 1's counts
+        first = monte_carlo(povm, ens, shots=BLOCK_SIZE, seed=11)
+        extra = np.array(whole.counts) - np.array(first.counts)
+        assert (extra >= 0).all()
+        assert extra.sum() == BLOCK_SIZE
+
+    def test_zero_probability_outcomes_never_click(self):
+        # an exactly zero effect, and a failure effect whose analytic
+        # probability is roundoff around zero past 45 deg
+        a = Angle.from_two_theta_deg(45.0)
+        null = Effect(op=np.zeros((4, 4)), excludes=ExclusionSet(n=2, mask=0b1111))
+        padded = Povm(effects=pbr_basis(a).effects + (null,))
+        b = Angle.from_two_theta_deg(60.0)
+        cases = [
+            (padded, uniform_ensemble(a, 2)),
+            (ancilla_eliminate_one(b), uniform_ensemble(b, 2)),
+        ]
+        for povm, ens in cases:
+            rep = monte_carlo(povm, ens, shots=3 * BLOCK_SIZE, seed=2)
+            zero = [c for c, p in zip(rep.counts, rep.analytic) if p <= 0.0]
+            assert zero and all(c == 0 for c in zero)
+            assert sum(rep.counts) == 3 * BLOCK_SIZE
+
+    def test_chi2_below_one_in_a_million_quantile(self):
+        a = Angle.from_two_theta_deg(37.0)
+        povm = local_usd(a, 3)
+        ens = uniform_ensemble(a, 3)
+        shots = 10**6
+        rep = monte_carlo(povm, ens, shots=shots, seed=12)
+        p = np.array(rep.analytic)
+        assert (p > 0.0).all()
+        assert rep.dof == p.size - 1 == 26
+        expected = shots * p
+        want = float(np.sum((np.array(rep.counts) - expected) ** 2 / expected))
+        assert rep.chi2 == pytest.approx(want, rel=1e-9)
+        assert chi2_sf(rep.chi2, rep.dof) > 1e-6
+
+    def test_chi2_mean_matches_dof(self):
+        # over many seeds the statistic averages to its degrees of freedom
+        a = Angle.from_two_theta_deg(60.0)
+        povm = eliminate_two(a)
+        ens = uniform_ensemble(a, 2)
+        reps = [monte_carlo(povm, ens, shots=5000, seed=s) for s in range(400)]
+        dof = reps[0].dof
+        assert dof == len(povm.effects) - 1
+        mean = sum(r.chi2 for r in reps) / len(reps)
+        # the mean of 400 draws has standard deviation sqrt(2 dof / 400)
+        assert abs(mean - dof) <= 5.0 * math.sqrt(2.0 * dof / len(reps))
+
+    def test_chi2_sf_reference_values(self):
+        # 95 % quantiles of the chi-squared distribution
+        assert chi2_sf(3.841458820694124, 1) == pytest.approx(0.05, rel=1e-9)
+        assert chi2_sf(5.991464547107979, 2) == pytest.approx(0.05, rel=1e-9)
+        assert chi2_sf(38.88513865983007, 26) == pytest.approx(0.05, rel=1e-9)
 
     def test_rejects_zero_shots(self):
         a = Angle.from_two_theta_deg(45.0)
         with pytest.raises(ValueError):
             monte_carlo(pbr_basis(a), uniform_ensemble(a, 2), shots=0, seed=1)
+
+    @pytest.mark.parametrize("shots", [2.5, 3.0, np.float64(10.0), True, "10"])
+    def test_rejects_non_integral_shots(self, shots):
+        a = Angle.from_two_theta_deg(45.0)
+        with pytest.raises(ValueError, match="integer"):
+            monte_carlo(pbr_basis(a), uniform_ensemble(a, 2), shots=shots, seed=1)
+
+    def test_accepts_numpy_integer_shots(self):
+        a = Angle.from_two_theta_deg(45.0)
+        rep = monte_carlo(pbr_basis(a), uniform_ensemble(a, 2), shots=np.int64(100), seed=1)
+        assert rep.shots == 100 and type(rep.shots) is int
+        assert sum(rep.counts) == 100
 
     def test_rejects_invalid_povm(self):
         a = Angle.from_two_theta_deg(45.0)
@@ -199,3 +267,18 @@ class TestMonteCarlo:
         )
         with pytest.raises(InvalidPovm):
             monte_carlo(bad, uniform_ensemble(a, 2), shots=10, seed=1)
+
+
+def chi2_sf(x, dof):
+    """Upper tail of the chi-squared distribution with integer dof.
+
+    Starts from the closed forms for one and two degrees of freedom and
+    climbs two at a time: Q(k + 2, x) = Q(k, x) + (x/2)^(k/2) e^(-x/2) / Gamma(k/2 + 1).
+    """
+    half = x / 2.0
+    k = 2 - dof % 2
+    q = math.exp(-half) if k == 2 else math.erfc(math.sqrt(half))
+    while k < dof:
+        q += math.exp((k / 2.0) * math.log(half) - half - math.lgamma(k / 2.0 + 1.0))
+        k += 2
+    return q
