@@ -8,7 +8,6 @@ against the per-qubit discrimination benchmark.
 
 from .analysis import (
     BoundReport,
-    comparison_success_prob,
     discrimination_gap,
     discrimination_gap_max,
     eliminate_one_fail_prob,
@@ -23,7 +22,6 @@ from .linalg import (
     DimensionMismatch,
     NotHermitian,
     eig_hermitian,
-    eigh_jacobi,
     frob_dist,
     kron,
     outer,
@@ -36,7 +34,6 @@ from .povm import (
     OutcomeStats,
     Povm,
     ValidationReport,
-    average_eliminated,
     outcome_probabilities,
     validate,
 )
@@ -98,14 +95,11 @@ __all__ = [
     "all_patterns",
     "ancilla_eliminate_one",
     "audit_bound",
-    "average_eliminated",
     "certify_one",
     "certify_two",
-    "comparison_success_prob",
     "discrimination_gap",
     "discrimination_gap_max",
     "eig_hermitian",
-    "eigh_jacobi",
     "eliminate_one",
     "eliminate_one_fail_prob",
     "eliminate_two",

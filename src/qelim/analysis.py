@@ -91,7 +91,6 @@ class BoundReport:
 
     n: int
     overlap: float
-    local_avg: float
     bound: float
     per_k_caps: list
 
@@ -107,9 +106,7 @@ def elimination_bound(angle: Angle, n: int) -> BoundReport:
     """Bound 2^n - (1 + cos 2t)^n with its per-K corollaries."""
     bound = local_avg_eliminated(angle, n)
     caps = [(k, bound / k) for k in range(1, 2 ** n)]
-    return BoundReport(
-        n=n, overlap=angle.overlap, local_avg=bound, bound=bound, per_k_caps=caps
-    )
+    return BoundReport(n=n, overlap=angle.overlap, bound=bound, per_k_caps=caps)
 
 
 def discrimination_gap(overlap: float, n: int) -> float:
@@ -149,12 +146,3 @@ def discrimination_gap_max(n: int) -> tuple[float, float]:
             hi = mid
     f = (lo + hi) / 2.0
     return f, 2.0 ** n - 2.0 * (1.0 + f) ** (n - 1)
-
-
-def comparison_success_prob(angle: Angle) -> float:
-    """Probability that optimal comparison of two qubits detects 'different'.
-
-    Equals 1 - cos 2t, which dominates the combined weight of the two
-    correlated pair-exclusion outcomes at every angle.
-    """
-    return 1.0 - angle.overlap

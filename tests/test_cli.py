@@ -91,6 +91,28 @@ class TestValidateCommand:
         assert "tol" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["probs", "--scheme", "pbr", "--two-theta-deg", "45"],
+            ["sweep", "--scheme", "pbr", "--from", "40", "--to", "45", "--steps", "2"],
+            ["simulate", "--scheme", "pbr", "--two-theta-deg", "45", "--shots", "10"],
+            ["certify", "--scheme", "eliminate-one", "--two-theta-deg", "30"],
+            ["bounds", "--two-theta-deg", "45"],
+        ],
+    )
+    def test_tol_only_on_validate(self, capsys, argv):
+        # --tol changes nothing outside validate, so elsewhere it is a usage error
+        code, out, err = run_cli(capsys, argv + ["--tol", "1e-3"])
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+        code, out, _ = run_cli(
+            capsys, ["validate", "--scheme", "pbr", "--two-theta-deg", "45", "--tol", "1e-3"]
+        )
+        assert code == 0
+        assert parse_json(out)["config"]["tol"] == 1e-3
+
+    @pytest.mark.parametrize(
         "scheme, deg",
         [
             ("pbr", "45.0000001"),

@@ -10,12 +10,11 @@ from qelim.povm import (
     ExclusionSet,
     InvalidPovm,
     Povm,
-    average_eliminated,
     outcome_probabilities,
     validate,
 )
-from qelim.schemes import eliminate_two, pbr_basis
-from qelim.states import Angle, uniform_ensemble
+from qelim.schemes import ancilla_eliminate_one, eliminate_two, local_usd, pbr_basis
+from qelim.states import Angle, Ensemble, uniform_ensemble
 
 
 class TestExclusionSet:
@@ -193,4 +192,38 @@ class TestOutcomeStats:
         a = Angle.from_two_theta_deg(60.0)
         povm = eliminate_two(a)
         ens = uniform_ensemble(a, 2)
-        assert average_eliminated(povm, ens) == pytest.approx(1.75, abs=1e-12)
+        stats = outcome_probabilities(povm, ens)
+        assert stats.avg_eliminated == pytest.approx(1.75, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["ancilla-one", "local-usd", "phased"])
+    def test_clicks_match_direct_evaluation(self, case):
+        # <psi|E|psi> one state at a time; "phased" turns the ancilla POVM
+        # and the states complex by one diagonal unitary, which leaves every
+        # click probability unchanged
+        a = Angle.from_two_theta_deg(70.0)
+        n = 3 if case == "local-usd" else 2
+        povm = local_usd(a, 3) if case == "local-usd" else ancilla_eliminate_one(a)
+        ens = uniform_ensemble(a, n)
+        if case == "phased":
+            d = np.exp(1j * np.arange(povm.dim))
+            povm = Povm(
+                effects=tuple(
+                    Effect(op=d[:, None] * e.op * d.conj(), excludes=e.excludes)
+                    for e in povm.effects
+                )
+            )
+            ens = Ensemble(tuple(d * s for s in ens.states), ens.priors)
+        direct = np.array(
+            [[np.vdot(s, e.op @ s).real for s in ens.states] for e in povm.effects]
+        )
+        stats = outcome_probabilities(povm, ens)
+        np.testing.assert_allclose(stats.probs, direct @ ens.priors, rtol=0, atol=1e-14)
+        report = validate(povm, ens)
+        assert report.ok
+        want = [
+            max([abs(direct[i, p.bits]) for p in e.excludes.patterns()], default=0.0)
+            for i, e in enumerate(povm.effects)
+        ]
+        np.testing.assert_allclose(
+            report.unambiguity_residuals, want, rtol=0, atol=1e-14
+        )

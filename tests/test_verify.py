@@ -235,6 +235,24 @@ class TestMonteCarlo:
         # the mean of 400 draws has standard deviation sqrt(2 dof / 400)
         assert abs(mean - dof) <= 5.0 * math.sqrt(2.0 * dof / len(reps))
 
+    @pytest.mark.parametrize(
+        "build, n, dof",
+        [
+            (usd_qubit, 1, 1),
+            (eliminate_two, 2, 1),
+            (lambda a: local_usd(a, 2), 2, 3),
+        ],
+        ids=["usd", "eliminate-two", "local-usd"],
+    )
+    def test_dof_skips_roundoff_outcomes(self, build, n, dof):
+        # at 90 deg these schemes have outcomes whose analytic probability
+        # is roundoff (1e-32 to 1e-16) and which can never click
+        a = Angle.from_two_theta_deg(90.0)
+        povm = build(a)
+        rep = monte_carlo(povm, uniform_ensemble(a, n), shots=1000, seed=3)
+        assert len(povm.effects) > dof + 1
+        assert rep.dof == dof
+
     def test_chi2_sf_reference_values(self):
         # 95 % quantiles of the chi-squared distribution
         assert chi2_sf(3.841458820694124, 1) == pytest.approx(0.05, rel=1e-9)
