@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatch, eig_hermitian, frob_dist, is_hermitian
+from .linalg import DimensionMismatch, NotHermitian, eig_hermitian, frob_dist
 from .states import Ensemble, SignPattern
 
 DEFAULT_TOL = 1e-10
@@ -174,12 +174,13 @@ def validate(povm: Povm, ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Valida
     total = np.zeros((dim, dim), dtype=complex)
     for i, e in enumerate(povm.effects):
         name = e.label or f"effect {i}"
-        if not is_hermitian(e.op):
+        try:
+            lo = float(eig_hermitian(e.op)[0])
+        except NotHermitian:
             report.violations.append(f"{name}: operator is not Hermitian")
             report.min_eigenvalues.append(float("nan"))
             report.unambiguity_residuals.append(float("nan"))
             continue
-        lo = float(eig_hermitian(e.op)[0])
         report.min_eigenvalues.append(lo)
         if lo < -tol:
             report.violations.append(f"{name}: min eigenvalue {lo:.3e} < -{tol:.0e}")

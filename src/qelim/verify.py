@@ -1,9 +1,13 @@
 """Numerical certificates for the closed forms, plus a sampling check.
 
-The certify functions re-derive optimal failure rates by direct search
-over the measurement families, blind to the closed forms they are
-judged against; agreement is evidence, a search result beating a
-closed form is a red flag the report surfaces as a failed verdict.
+The certify functions re-derive optimal rates over the measurement
+families, blind to the closed forms they are judged against. Each
+search is the maximum of a convex function over a small polytope, and
+a convex function takes its maximum over a polytope at a vertex, so
+the polytope's vertices are enumerated and the best one is the exact
+optimum. Agreement to roundoff is evidence; an optimum beating a
+closed form is a red flag the report surfaces as a failed verdict. A
+blind grid search can be asked for as a further cross-check.
 
 monte_carlo draws finite-shot outcome counts with a counter-based
 generator. Shots are independent and only their counts are kept, so
@@ -16,6 +20,7 @@ blocks would be distributed over workers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +38,8 @@ from .states import Angle, Ensemble, uniform_ensemble
 BLOCK_SIZE = 1 << 16
 
 ORACLE_BEAT_TOL = 1e-12
-ORACLE_MATCH_TOL = 1e-4
+ORACLE_MATCH_TOL = 1e-12
+FEASIBLE_SLACK = 1e-12
 BOUND_TOL = 1e-9
 
 
@@ -75,14 +81,44 @@ class SimReport:
     dof: int
 
 
-def certify_one(angle: Angle, grid_steps: int = 61, refine_iters: int = 40) -> CertReport:
-    """Search the sign-flip covariant rank-one family for lower failure.
+def _vertices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Vertices of the polytope {x : a @ x <= b}, one per row.
 
-    Free coordinates are the three amplitudes on |01>, |10>, |11| of the
-    pattern-excluding vector; the |00> amplitude is pinned by the
-    zero-error condition and the common weight is pushed to the largest
-    value keeping the effects below the identity. A coarse grid over
-    [-1, 1]^3 is refined by coordinate steps of halving size.
+    Every choice of dim(x) constraints is solved as equalities in one
+    batched solve. Choices with a zero determinant (parallel planes, or
+    a constraint whose normal vanishes) meet in no single point and are
+    dropped; of the rest, the points that satisfy every constraint
+    within FEASIBLE_SLACK are the vertices.
+    """
+    picks = np.array(list(itertools.combinations(range(b.size), a.shape[1])))
+    systems = a[picks]
+    keep = np.linalg.det(systems) != 0.0
+    points = np.linalg.solve(systems[keep], b[picks[keep]][..., None])[..., 0]
+    return points[np.all(points @ a.T <= b + FEASIBLE_SLACK, axis=1)]
+
+
+def certify_one(angle: Angle, grid_steps: int = 0, refine_iters: int = 0) -> CertReport:
+    """Find the lowest failure rate in the sign-flip covariant rank-one family.
+
+    The pattern-excluding vector has free amplitudes c = (c01, c10, c11)
+    on |01>, |10>, |11>; the zero-error condition pins its |00>
+    amplitude to c00 = -(c01 + c10) t - c11 t^2 with t = tan(theta), and
+    the common weight is pushed to 1 / max_i c_i^2, the largest that
+    keeps the effects below the identity. The success rate is then
+    gain(c) / max_i c_i^2 with
+    gain = C^2 c00^2 + S C (c01^2 + c10^2) + S^2 c11^2, where
+    C = cos^2(theta) and S = sin^2(theta).
+    The ratio does not change when c is scaled, so its maximum is the
+    maximum of gain over the polytope where all four amplitudes lie in
+    [-1, 1]. gain is a convex quadratic, and a convex function takes its
+    maximum over a polytope at a vertex, so the best of the polytope's
+    vertices is the exact optimum.
+
+    With grid_steps > 0 a blind grid search over [-1, 1]^3, refined by
+    refine_iters rounds of coordinate steps of halving size, runs as a
+    cross-check: its failure rate goes into params["grid_oracle"], and
+    the verdict fails if it beats the vertex optimum by more than
+    ORACLE_BEAT_TOL.
     """
     if not (0.0 <= angle.two_theta < math.pi / 4.0):
         raise UnsupportedAngle(
@@ -91,6 +127,38 @@ def certify_one(angle: Angle, grid_steps: int = 61, refine_iters: int = 40) -> C
     t = math.tan(angle.theta)
     c2 = math.cos(angle.theta) ** 2
     s2 = math.sin(angle.theta) ** 2
+    # maps (c01, c10, c11) to (c00, c01, c10, c11); the polytope is |pin @ c| <= 1
+    pin = np.vstack([[-t, -t, -t * t], np.eye(3)])
+    corners = _vertices(np.vstack([pin, -pin]), np.ones(8))
+    gains = (corners @ pin.T) ** 2 @ np.array([c2 * c2, s2 * c2, s2 * c2, s2 * s2])
+    k = int(np.argmax(gains))
+    best_fail = 1.0 - float(gains[k])
+
+    closed = eliminate_one_fail_prob(angle)
+    gap = best_fail - closed
+    ok = -ORACLE_BEAT_TOL <= gap <= ORACLE_MATCH_TOL
+    params = {
+        "grid_steps": grid_steps,
+        "refine_iters": refine_iters,
+        "amplitudes": [float(x) for x in corners[k]],
+    }
+    if grid_steps > 0:
+        grid_fail = _grid_one(t, c2, s2, grid_steps, refine_iters)
+        params["grid_oracle"] = grid_fail
+        ok = ok and grid_fail >= best_fail - ORACLE_BEAT_TOL
+    return CertReport(
+        claim="single-pattern exclusion failure probability is optimal "
+        "within the covariant rank-one family",
+        closed_form=closed,
+        oracle=best_fail,
+        gap=gap,
+        params=params,
+        verdict="pass" if ok else "fail",
+    )
+
+
+def _grid_one(t: float, c2: float, s2: float, grid_steps: int, refine_iters: int) -> float:
+    """Lowest failure rate of certify_one's family on a refined grid."""
     w00, w01, w11 = c2 * c2, s2 * c2, s2 * s2
 
     def fail_of(c01, c10, c11):
@@ -122,33 +190,28 @@ def certify_one(angle: Angle, grid_steps: int = 61, refine_iters: int = 40) -> C
                     best_fail = f
                     best = trial
         step /= 2.0
-
-    closed = eliminate_one_fail_prob(angle)
-    gap = best_fail - closed
-    ok = -ORACLE_BEAT_TOL <= gap <= ORACLE_MATCH_TOL
-    return CertReport(
-        claim="single-pattern exclusion failure probability is optimal "
-        "within the covariant rank-one family",
-        closed_form=closed,
-        oracle=best_fail,
-        gap=gap,
-        params={
-            "grid_steps": grid_steps,
-            "refine_iters": refine_iters,
-            "amplitudes": [float(x) for x in best],
-        },
-        verdict="pass" if ok else "fail",
-    )
+    return best_fail
 
 
-def certify_two(angle: Angle, grid_steps: int = 201, zoom_rounds: int = 6) -> CertReport:
-    """Search the pair-exclusion weight polytope for higher success.
+def certify_two(angle: Angle, grid_steps: int = 0, zoom_rounds: int = 0) -> CertReport:
+    """Find the highest pair-exclusion success rate over the weight polytope.
 
-    The three weights obey three linear caps; for fixed (gamma, beta)
-    the correlated-pair weight alpha is pushed to its own cap, so the
-    search runs over a (gamma, beta) grid with feasibility filtering,
-    re-centered and shrunk a few times because the flat grid alone
-    cannot resolve the optimum to the 1e-4 the verdict demands.
+    The three weights obey three linear caps. For fixed (gamma, beta)
+    the correlated-pair weight alpha is pushed to its own cap,
+    max(0, (1 - 2 gamma cos^2(theta)) / 2), which leaves a success rate
+    that is the larger of two affine functions of (gamma, beta), so convex. Its
+    maximum over the polygon 0 <= gamma <= gamma_hi, 0 <= beta <= beta_hi,
+    4 sin^2(theta) gamma + 2 sin^4(theta) beta <= 1 therefore sits at a
+    vertex, and the best vertex is the exact optimum. The kink
+    gamma = 1 / (2 cos^2(theta)) of alpha's cap needs no points of its
+    own: a convex maximum is found among the polygon's vertices, and the
+    kink lies at or beyond gamma_hi.
+
+    With grid_steps > 0 a blind grid search over the same polygon,
+    re-centered and shrunk over zoom_rounds rounds, runs as a
+    cross-check: its success rate goes into params["grid_oracle"], and
+    the verdict fails if it beats the vertex optimum by more than
+    ORACLE_BEAT_TOL.
     """
     if angle.theta <= 0.0:
         raise UnsupportedAngle(
@@ -156,15 +219,60 @@ def certify_two(angle: Angle, grid_steps: int = 201, zoom_rounds: int = 6) -> Ce
         )
     s2 = math.sin(angle.theta) ** 2
     c2 = math.cos(angle.theta) ** 2
-    sin_sq_2t = 4.0 * s2 * c2
     gamma_hi = min(1.0 / (4.0 * s2), 1.0 / (2.0 * c2))
     beta_hi = 1.0 / (2.0 * c2 * c2)
+    caps = np.array(
+        [[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [4.0 * s2, 2.0 * s2 * s2]]
+    )
+    gamma, beta = _vertices(caps, np.array([0.0, gamma_hi, 0.0, beta_hi, 1.0])).T
+    succ = _pair_success(gamma, beta, s2, c2)
+    k = int(np.argmax(succ))
+    best_succ = float(succ[k])
+
+    closed = 1.0 - eliminate_two_fail_prob(angle)
+    gap = best_succ - closed
+    ok = abs(gap) <= ORACLE_MATCH_TOL and gap <= BOUND_TOL
+    params = {
+        "grid_steps": grid_steps,
+        "zoom_rounds": zoom_rounds,
+        "gamma": float(gamma[k]),
+        "beta": float(beta[k]),
+    }
+    if grid_steps > 0:
+        grid_succ = _grid_two(s2, c2, gamma_hi, beta_hi, grid_steps, zoom_rounds)
+        params["grid_oracle"] = grid_succ
+        ok = ok and grid_succ <= best_succ + ORACLE_BEAT_TOL
+    claim = "pair-exclusion weights achieve the closed-form success probability"
+    if angle.overlap > PAIR_THRESHOLD_OVERLAP:
+        claim += " (conjecture-consistent)"
+    return CertReport(
+        claim=claim,
+        closed_form=closed,
+        oracle=best_succ,
+        gap=gap,
+        params=params,
+        verdict="pass" if ok else "fail",
+    )
+
+
+def _pair_success(gamma, beta, s2: float, c2: float):
+    """certify_two's success rate, with alpha pushed to its cap."""
+    alpha = np.clip((1.0 - 2.0 * gamma * c2) / 2.0, 0.0, None)
+    return (
+        8.0 * gamma * s2 * c2 * c2
+        + alpha * (4.0 * s2 * c2)
+        + 4.0 * beta * s2 * s2 * c2 * c2
+    )
+
+
+def _grid_two(
+    s2: float, c2: float, gamma_hi: float, beta_hi: float, grid_steps: int, zoom_rounds: int
+) -> float:
+    """Highest success rate of certify_two's polygon on a zooming grid."""
 
     def success_of(gamma, beta):
-        feasible = 2.0 * beta * s2 * s2 + 4.0 * gamma * s2 <= 1.0 + 1e-12
-        alpha = np.clip((1.0 - 2.0 * gamma * c2) / 2.0, 0.0, None)
-        val = 8.0 * gamma * s2 * c2 * c2 + alpha * sin_sq_2t + 4.0 * beta * s2 * s2 * c2 * c2
-        return np.where(feasible, val, -np.inf)
+        feasible = 2.0 * beta * s2 * s2 + 4.0 * gamma * s2 <= 1.0 + FEASIBLE_SLACK
+        return np.where(feasible, _pair_success(gamma, beta, s2, c2), -np.inf)
 
     g_lo, g_hi = 0.0, gamma_hi
     b_lo, b_hi = 0.0, beta_hi
@@ -185,26 +293,7 @@ def certify_two(angle: Angle, grid_steps: int = 201, zoom_rounds: int = 6) -> Ce
         g_hi = min(gamma_hi, best[0] + 2.0 * g_step)
         b_lo = max(0.0, best[1] - 2.0 * b_step)
         b_hi = min(beta_hi, best[1] + 2.0 * b_step)
-
-    closed = 1.0 - eliminate_two_fail_prob(angle)
-    gap = best_succ - closed
-    ok = abs(gap) <= ORACLE_MATCH_TOL and gap <= BOUND_TOL
-    claim = "pair-exclusion weights achieve the closed-form success probability"
-    if angle.overlap > PAIR_THRESHOLD_OVERLAP:
-        claim += " (conjecture-consistent)"
-    return CertReport(
-        claim=claim,
-        closed_form=closed,
-        oracle=best_succ,
-        gap=gap,
-        params={
-            "grid_steps": grid_steps,
-            "zoom_rounds": zoom_rounds,
-            "gamma": best[0],
-            "beta": best[1],
-        },
-        verdict="pass" if ok else "fail",
-    )
+    return best_succ
 
 
 def audit_bound(povm: Povm, angle: Angle, tol: float = BOUND_TOL) -> CertReport:

@@ -404,7 +404,7 @@ class TestCertifyCommand:
         doc = parse_json(out)
         assert doc["result"]["verdict"] == "pass"
         assert "conjecture" in doc["result"]["claim"]
-        assert abs(doc["result"]["gap"]) <= 1e-4
+        assert abs(doc["result"]["gap"]) <= 1e-12
 
     def test_eliminate_one_passes(self, capsys):
         code, out, _ = run_cli(
@@ -413,6 +413,20 @@ class TestCertifyCommand:
         )
         assert code == 0
         assert parse_json(out)["result"]["verdict"] == "pass"
+
+    @pytest.mark.parametrize(
+        "scheme, deg", [("eliminate-two", "60"), ("eliminate-one", "30")]
+    )
+    def test_exact_gap_and_no_grid(self, capsys, scheme, deg):
+        code, out, _ = run_cli(
+            capsys,
+            ["certify", "--scheme", scheme, "--two-theta-deg", deg, "--format", "json"],
+        )
+        assert code == 0
+        result = parse_json(out)["result"]
+        assert result["verdict"] == "pass"
+        assert abs(result["gap"]) <= 1e-12
+        assert result["params"]["grid_steps"] == 0
 
     def test_unsupported_scheme(self, capsys):
         code, _, err = run_cli(

@@ -136,6 +136,23 @@ class TestValidate:
         assert any("min eigenvalue" in v for v in report.violations)
         assert min(report.min_eigenvalues) < -0.4
 
+    def test_non_hermitian_effect_detected(self):
+        ens = uniform_ensemble(Angle.from_two_theta_deg(45.0), 1)
+        skew = np.array([[0.5, 0.5], [0.0, 0.5]])
+        p = Povm(
+            effects=(
+                Effect(op=skew, excludes=ExclusionSet.of(1, "+"), label="skew"),
+                Effect(op=np.eye(2) / 2, excludes=ExclusionSet(n=1, mask=0)),
+            )
+        )
+        report = validate(p, ens)
+        assert not report.ok
+        assert "skew: operator is not Hermitian" in report.violations
+        assert np.isnan(report.min_eigenvalues[0])
+        assert np.isnan(report.unambiguity_residuals[0])
+        assert report.min_eigenvalues[1] == pytest.approx(0.5, abs=1e-15)
+        assert report.unambiguity_residuals[1] == 0.0
+
     def test_dimension_mismatch_with_ensemble(self):
         ens = uniform_ensemble(Angle.from_two_theta_deg(45.0), 2)
         p = Povm(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qelim.analysis import eliminate_two_fail_prob, local_avg_eliminated
+from qelim.analysis import eliminate_two_fail_prob, local_avg_eliminated, pair_threshold
 from qelim.povm import Effect, ExclusionSet, InvalidPovm, Povm
 from qelim.schemes import (
     UnsupportedAngle,
@@ -27,28 +27,65 @@ from qelim.verify import (
 )
 
 
+ONE_DEGS = [float(d) for d in np.linspace(0.0, 45.0, 1801)[:-1]] + [
+    1e-9,
+    45.0 - 1e-9,
+    math.nextafter(45.0, 0.0),
+]
+TWO_DEGS = [float(d) for d in np.linspace(0.0, 90.0, 3601)[1:]] + [
+    1e-9,
+    math.degrees(pair_threshold()),
+    math.nextafter(math.degrees(pair_threshold()), 0.0),
+    math.nextafter(math.degrees(pair_threshold()), 90.0),
+]
+
+
 class TestCertifyOne:
     @pytest.mark.parametrize("deg", [10.0, 30.0, 40.0])
     def test_grid_cannot_beat_closed_form(self, deg):
         rep = certify_one(Angle.from_two_theta_deg(deg))
         assert rep.ok, rep
         assert rep.gap >= -1e-12
-        assert rep.gap <= 1e-4
+        assert rep.gap <= 1e-12
 
     def test_report_fields(self):
         rep = certify_one(Angle.from_two_theta_deg(30.0))
         assert isinstance(rep, CertReport)
-        assert rep.oracle == pytest.approx(rep.closed_form, abs=1e-4)
+        assert rep.oracle == pytest.approx(rep.closed_form, abs=1e-12)
         assert len(rep.params["amplitudes"]) == 3
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(UnsupportedAngle):
             certify_one(Angle.from_two_theta_deg(45.0))
 
+    def test_exact_over_dense_angles(self):
+        # 0 deg, where both slab planes of the polytope are degenerate,
+        # up to the last float below 45 deg
+        for deg in ONE_DEGS:
+            a = Angle.from_two_theta_deg(deg)
+            assert a.two_theta < math.pi / 4.0
+            rep = certify_one(a)
+            assert rep.verdict == "pass", (deg, rep)
+            assert abs(rep.gap) <= 1e-12, (deg, rep.gap)
+
+    def test_default_runs_no_grid(self):
+        rep = certify_one(Angle.from_two_theta_deg(30.0))
+        assert rep.params["grid_steps"] == 0
+        assert rep.params["refine_iters"] == 0
+        assert "grid_oracle" not in rep.params
+
+    @pytest.mark.parametrize("deg", [10.0, 30.0, 40.0])
+    def test_old_grid_never_beats_vertices(self, deg):
+        rep = certify_one(Angle.from_two_theta_deg(deg), grid_steps=61, refine_iters=40)
+        assert rep.ok, rep
+        assert rep.params["grid_oracle"] >= rep.oracle - 1e-12
+
     def test_coarse_grid_still_passes(self):
-        # fewer grid points, the refinement makes up the difference
-        rep = certify_one(Angle.from_two_theta_deg(20.0), grid_steps=31)
+        # a coarse blind grid is only a cross-check: it cannot do better
+        # than the exact vertex optimum, so the verdict stays a pass
+        rep = certify_one(Angle.from_two_theta_deg(20.0), grid_steps=31, refine_iters=40)
         assert rep.ok
+        assert rep.params["grid_oracle"] >= rep.oracle - 1e-12
 
 
 class TestCertifyTwo:
@@ -56,7 +93,7 @@ class TestCertifyTwo:
     def test_weight_search_matches_closed_form(self, deg):
         rep = certify_two(Angle.from_two_theta_deg(deg))
         assert rep.ok, rep
-        assert abs(rep.gap) <= 1e-4
+        assert abs(rep.gap) <= 1e-12
 
     def test_success_value(self):
         a = Angle.from_two_theta_deg(60.0)
@@ -72,6 +109,42 @@ class TestCertifyTwo:
     def test_rejects_degenerate(self):
         with pytest.raises(UnsupportedAngle):
             certify_two(Angle.from_two_theta_deg(0.0))
+
+    def test_exact_over_dense_angles(self):
+        # from just above 0 deg through the pair threshold to 90 deg
+        for deg in TWO_DEGS:
+            rep = certify_two(Angle.from_two_theta_deg(deg))
+            assert rep.verdict == "pass", (deg, rep)
+            assert abs(rep.gap) <= 1e-12, (deg, rep.gap)
+
+    def test_default_runs_no_grid(self):
+        rep = certify_two(Angle.from_two_theta_deg(60.0))
+        assert rep.params["grid_steps"] == 0
+        assert rep.params["zoom_rounds"] == 0
+        assert "grid_oracle" not in rep.params
+
+    @pytest.mark.parametrize("deg", [40.0, 60.0, 90.0])
+    def test_old_grid_never_beats_vertices(self, deg):
+        rep = certify_two(Angle.from_two_theta_deg(deg), grid_steps=201, zoom_rounds=6)
+        assert rep.ok, rep
+        assert rep.params["grid_oracle"] <= rep.oracle + 1e-12
+
+    def test_vertex_weights_reach_the_optimum(self):
+        # the reported (gamma, beta) is feasible and attains the oracle
+        a = Angle.from_two_theta_deg(60.0)
+        rep = certify_two(a)
+        s2, c2 = math.sin(a.theta) ** 2, math.cos(a.theta) ** 2
+        gamma, beta = rep.params["gamma"], rep.params["beta"]
+        assert 0.0 <= gamma <= min(1.0 / (4.0 * s2), 1.0 / (2.0 * c2)) + 1e-12
+        assert 0.0 <= beta <= 1.0 / (2.0 * c2 * c2) + 1e-12
+        assert 4.0 * s2 * gamma + 2.0 * s2 * s2 * beta <= 1.0 + 1e-12
+        alpha = max(0.0, (1.0 - 2.0 * gamma * c2) / 2.0)
+        succ = (
+            8.0 * gamma * s2 * c2 * c2
+            + alpha * 4.0 * s2 * c2
+            + 4.0 * beta * s2 * s2 * c2 * c2
+        )
+        assert succ == pytest.approx(rep.oracle, abs=1e-15)
 
 
 class TestAuditBound:
