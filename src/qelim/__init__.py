@@ -49,6 +49,7 @@ from .schemes import (
     local_usd,
     pbr_basis,
     symmetrize,
+    tensor,
     usd_qubit,
 )
 from .states import (
@@ -120,6 +121,7 @@ __all__ = [
     "projector",
     "qubit_state",
     "symmetrize",
+    "tensor",
     "uniform_ensemble",
     "usd_qubit",
     "usd_success_prob",

@@ -102,8 +102,20 @@ class BoundReport:
         return self.bound / k
 
 
+MAX_BOUND_QUBITS = 16
+
+
 def elimination_bound(angle: Angle, n: int) -> BoundReport:
-    """Bound 2^n - (1 + cos 2t)^n with its per-K corollaries."""
+    """Bound 2^n - (1 + cos 2t)^n with its per-K corollaries.
+
+    The report lists all 2^n - 1 caps, so n is limited to
+    MAX_BOUND_QUBITS: at 16 qubits the list already holds 65,535 caps.
+    """
+    if n > MAX_BOUND_QUBITS:
+        raise ValueError(
+            f"the bound lists all 2^n - 1 per-K caps and supports up to "
+            f"{MAX_BOUND_QUBITS} qubits, got {n}"
+        )
     bound = local_avg_eliminated(angle, n)
     caps = [(k, bound / k) for k in range(1, 2 ** n)]
     return BoundReport(n=n, overlap=angle.overlap, bound=bound, per_k_caps=caps)
@@ -125,24 +137,15 @@ def discrimination_gap(overlap: float, n: int) -> float:
 
 
 def discrimination_gap_max(n: int) -> tuple[float, float]:
-    """Interior maximum of discrimination_gap in the overlap, by bisection.
+    """Interior maximum of discrimination_gap in the overlap, in closed form.
 
-    The derivative changes sign once on (0, 1); at the root f*,
-    (1 + f*)^(n-1) = (2^n - 1)(1 - f*)^(n-1) and the gap equals
-    2^n - 2 (1 + f*)^(n-1).
+    The derivative vanishes once on (0, 1), where
+    (1 + f*)^(n-1) = (2^n - 1)(1 - f*)^(n-1). With r = (2^n - 1)^(1/(n-1))
+    that is (1 + f*) / (1 - f*) = r, so f* = (r - 1) / (r + 1), and the
+    gap there equals 2^n - 2 (1 + f*)^(n-1).
     """
     if n < 2:
         raise ValueError("the gap is identically zero for n = 1")
-
-    def slope(f: float) -> float:
-        return (2.0 ** n - 1.0) * (1.0 - f) ** (n - 1) - (1.0 + f) ** (n - 1)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    f = (lo + hi) / 2.0
+    r = (2.0 ** n - 1.0) ** (1.0 / (n - 1))
+    f = (r - 1.0) / (r + 1.0)
     return f, 2.0 ** n - 2.0 * (1.0 + f) ** (n - 1)

@@ -62,11 +62,11 @@ def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return float(np.max(np.abs(a - a.conj().T))) <= tol
+    return float(np.max(np.abs(a - a.conj().T))) <= HERMITIAN_TOL
 
 
 def eig_hermitian(a: np.ndarray) -> np.ndarray:
@@ -82,7 +82,3 @@ def eig_hermitian(a: np.ndarray) -> np.ndarray:
     if not is_hermitian(a):
         raise NotHermitian("matrix is not Hermitian within 1e-12")
     return np.linalg.eigvalsh(a)
-
-
-def min_eigenvalue(a: np.ndarray) -> float:
-    return float(eig_hermitian(a)[0])

@@ -11,6 +11,9 @@ Six schemes for qubits drawn from the pair |+t>, |-t>:
 * usd_qubit / local_usd: unambiguous discrimination per qubit, the
   local benchmark the collective schemes are measured against.
 
+tensor() measures several schemes side by side on consecutive qubit
+blocks; local_usd is the n-fold tensor power of usd_qubit.
+
 Sign-flip covariance is the organising symmetry: conjugating by
 U = diag(1, -1) on a qubit swaps |+t> and |-t|, and symmetrize()
 averages any two-qubit eliminate-one measurement over that group.
@@ -18,12 +21,11 @@ averages any two-qubit eliminate-one measurement over that group.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .linalg import kron, kron_all, outer, projector
+from .linalg import kron, projector
 from .povm import Effect, ExclusionSet, Povm
 from .states import Angle, SignPattern, orth_state, qubit_state
 
@@ -124,63 +126,17 @@ def eliminate_one(angle: Angle) -> Povm:
     return Povm(tuple(effects))
 
 
-def _gram_schmidt_completion(cols: list[np.ndarray], order) -> list[np.ndarray]:
-    """Extend orthonormal cols to a full basis, drawing candidates in order."""
-    dim = len(cols[0])
-    basis = [c.copy() for c in cols]
-    for k in order:
-        if len(basis) == dim:
-            break
-        cand = np.zeros(dim, dtype=complex)
-        cand[k] = 1.0
-        for b in basis:
-            cand = cand - np.vdot(b, cand) * b
-        norm = float(np.linalg.norm(cand))
-        if norm > 1e-8:
-            basis.append(cand / norm)
-    if len(basis) != dim:
-        raise ValueError("could not complete the basis from the given order")
-    return basis
-
-
-def _coupling_unitary(angle: Angle, order) -> np.ndarray:
-    """Unitary on (system, ancilla) sending |+-t>|0> to |+-22.5 deg>|phi_+->.
-
-    The ancilla states phi_+- = cos(mu)|0> +- sin(mu)|1> absorb the
-    excess overlap: cos(2mu) = sqrt(2) cos(2t) keeps the global inner
-    product equal to cos(2t).
-    """
-    half = Angle(math.pi / 8.0)
-    two_mu = math.acos(min(1.0, max(-1.0, math.sqrt(2.0) * angle.overlap)))
-    mu = 0.5 * two_mu
-    phi = {
-        +1: np.array([math.cos(mu), math.sin(mu)], dtype=complex),
-        -1: np.array([math.cos(mu), -math.sin(mu)], dtype=complex),
-    }
-    x = {s: kron(qubit_state(angle, s), _E0) for s in (+1, -1)}
-    y = {s: kron(qubit_state(half, s), phi[s]) for s in (+1, -1)}
-
-    def ortho_pair(a, b):
-        u1 = a / np.linalg.norm(a)
-        r = b - np.vdot(u1, b) * u1
-        return [u1, r / np.linalg.norm(r)]
-
-    u = _gram_schmidt_completion(ortho_pair(x[+1], x[-1]), order)
-    v = _gram_schmidt_completion(ortho_pair(y[+1], y[-1]), order)
-    return sum(outer(vi, ui) for vi, ui in zip(v, u))
-
-
-def ancilla_eliminate_one(angle: Angle, completion_order=(0, 1, 2, 3)) -> Povm:
+def ancilla_eliminate_one(angle: Angle) -> Povm:
     """Deterministic single-pattern exclusion for 45 deg <= 2t <= 90 deg.
 
-    Each qubit is coupled to a fresh |0> ancilla, mapping the pair down
-    to the 45 degree pair, then the conclusive basis is measured on the
-    two system wires and the ancillas are discarded. Wire order of the
-    dilated space is (system1, system2, ancilla1, ancilla2).
-
-    completion_order picks the candidate vectors used to complete the
-    coupling isometry to a unitary; the effective POVM does not depend
-    on it, because the ancilla input is fixed.
+    Each qubit is coupled to a fresh |0> ancilla by the isometry
+    W = Y X^-1, X = [|+t>, |-t>], Y = [|+22.5 deg>|phi_+>, |-22.5 deg>|phi_->],
+    which maps the pair down to the 45 degree pair; the conclusive basis
+    is measured on the two system wires and the ancillas are discarded.
+    The ancilla states phi_+- = cos(mu)|0> +- sin(mu)|1> absorb the
+    excess overlap: cos(2mu) = sqrt(2) cos(2t) keeps the inner product at
+    cos(2t), so W is an isometry. With K_a = <a|W on each qubit, every
+    effect is sum_ab (K_a x K_b)^dag E (K_a x K_b) for a conclusive-basis E.
     """
     if angle.theta == 0.0:
         raise DegenerateAngle("theta = 0 leaves nothing to couple to")
@@ -189,28 +145,21 @@ def ancilla_eliminate_one(angle: Angle, completion_order=(0, 1, 2, 3)) -> Povm:
             f"ancilla construction needs 45 <= 2*theta <= 90 deg, got "
             f"{angle.two_theta_deg!r} deg; eliminate_one covers 0 to 45 deg"
         )
-    v = _coupling_unitary(angle, completion_order)
+    half = Angle(math.pi / 8.0)
+    mu = 0.5 * math.acos(min(1.0, math.sqrt(2.0) * angle.overlap))
+    phi = {s: np.array([math.cos(mu), s * math.sin(mu)], dtype=complex) for s in (+1, -1)}
+    y = np.stack([kron(qubit_state(half, s), phi[s]) for s in (+1, -1)], axis=1)
+    cos_t, sin_t = math.cos(angle.theta), math.sin(angle.theta)
+    # inverse of X = [[cos_t, cos_t], [sin_t, -sin_t]]
+    x_inv = np.array([[sin_t, cos_t], [sin_t, -cos_t]]) / (2.0 * sin_t * cos_t)
+    w = y @ x_inv  # rows ordered (system, ancilla)
+    kraus = [kron(w[a::2], w[b::2]) for a in (0, 1) for b in (0, 1)]
 
-    # Columns of the dilation isometry, ordered (s1, a1, s2, a2) first.
-    cols = []
-    for s1 in (_E0, _E1):
-        for s2 in (_E0, _E1):
-            cols.append(kron(v @ kron(s1, _E0), v @ kron(s2, _E0)))
-    a = np.stack(cols, axis=1)
-
-    # Reorder the 16 rows to the wire convention (s1, s2, a1, a2).
-    perm = np.empty(16, dtype=int)
-    for idx in range(16):
-        s1, a1, s2, a2 = (idx >> 3) & 1, (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
-        perm[(s1 << 3) | (s2 << 2) | (a1 << 1) | a2] = idx
-    a = a[perm, :]
-
-    basis = pbr_basis(Angle(math.pi / 8.0))
     eye4 = np.eye(4, dtype=complex)
     effects = []
     total = np.zeros((4, 4), dtype=complex)
-    for eff in basis.effects:
-        op = a.conj().T @ kron(eff.op, eye4) @ a
+    for eff in pbr_basis(half).effects:
+        op = sum(k.conj().T @ eff.op @ k for k in kraus)
         op = (op + op.conj().T) / 2.0
         total += op
         effects.append(Effect(op, eff.excludes, eff.label))
@@ -291,41 +240,72 @@ def usd_qubit(angle: Angle) -> Povm:
     )
 
 
+def tensor(*povms: Povm) -> Povm:
+    """Product measurement on consecutive qubit blocks, leftmost factor first.
+
+    A product outcome takes one outcome per factor, the first factor
+    varying slowest. Its operator is the Kronecker product of theirs
+    (leftmost factor most significant), its label joins theirs, and it
+    excludes every pattern outside the product of their consistent sets.
+    """
+    if not povms:
+        raise ValueError("tensor needs at least one POVM")
+    n = sum(p.n for p in povms)
+    first, *rest = povms
+    return Povm(
+        tuple(
+            Effect(op, ExclusionSet(n, _full_mask(n) ^ keep), label)
+            for e in first.effects
+            for op, label, keep in _grow(
+                e.op, e.label, _full_mask(first.n) ^ e.excludes.mask, first.n, rest
+            )
+        )
+    )
+
+
+def _grow(op, label, keep, width, factors):
+    """Yield (op, label, consistent set) for each extension of a partial outcome.
+
+    Depth first, so only one partial product per factor is alive at a
+    time. keep is the consistent set of the first width qubits; each
+    pattern p the next factor's outcome does not exclude places a copy
+    of keep at offset p << width.
+    """
+    if not factors:
+        yield op, label, keep
+        return
+    factor, *rest = factors
+    for e in factor.effects:
+        joint = 0
+        for p in range(1 << factor.n):
+            if not (e.excludes.mask >> p) & 1:
+                joint |= keep << (p << width)
+        yield from _grow(kron(op, e.op), label + e.label, joint, width + factor.n, rest)
+
+
+def _full_mask(n: int) -> int:
+    return (1 << (1 << n)) - 1
+
+
 MAX_LOCAL_QUBITS = 6
 
 
 def local_usd(angle: Angle, n: int) -> Povm:
     """Independent per-qubit discrimination on n qubits.
 
-    Each qubit yields +, - or failure; an outcome identifying k qubits
-    excludes the 2**n - 2**(n-k) patterns that contradict any of them.
-    The label records the per-qubit results, leftmost qubit first.
+    The n-fold tensor power of usd_qubit: each qubit yields +, - or
+    failure, and an outcome identifying k qubits excludes the
+    2**n - 2**(n-k) patterns that contradict any of them. The label
+    records the per-qubit results, leftmost qubit first.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
     if n > MAX_LOCAL_QUBITS:
         raise TooManyQubits(f"local discrimination supports up to {MAX_LOCAL_QUBITS} qubits")
-    single = usd_qubit(angle)
-    ops = [e.op for e in single.effects]  # id(+), id(-), fail
-    chars = "+-f"
-    full_mask = (1 << (1 << n)) - 1
-
-    effects = []
-    for combo in itertools.product(range(3), repeat=n):
-        op = kron_all([ops[k] for k in combo])
-        consistent = 0
-        for p in range(1 << n):
-            good = True
-            for i, k in enumerate(combo):
-                bit = (p >> i) & 1
-                if (k == 0 and bit == 1) or (k == 1 and bit == 0):
-                    good = False
-                    break
-            if good:
-                consistent |= 1 << p
-        label = "".join(chars[k] for k in combo)
-        effects.append(Effect(op, ExclusionSet(n, full_mask ^ consistent), label))
-    return Povm(tuple(effects))
+    single = Povm(
+        tuple(Effect(e.op, e.excludes, ch) for e, ch in zip(usd_qubit(angle).effects, "+-f"))
+    )
+    return tensor(*[single] * n)
 
 
 def symmetrize(povm: Povm) -> Povm:

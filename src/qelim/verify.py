@@ -97,6 +97,14 @@ def _vertices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return points[np.all(points @ a.T <= b + FEASIBLE_SLACK, axis=1)]
 
 
+def _check_grid(grid_steps: int, rounds: int, rounds_name: str) -> None:
+    """Reject grid settings that are negative or refine a grid that never runs."""
+    if grid_steps < 0 or rounds < 0:
+        raise ValueError(f"grid_steps and {rounds_name} must be nonnegative")
+    if rounds > 0 and grid_steps == 0:
+        raise ValueError(f"{rounds_name} > 0 needs grid_steps > 0, since no grid runs")
+
+
 def certify_one(angle: Angle, grid_steps: int = 0, refine_iters: int = 0) -> CertReport:
     """Find the lowest failure rate in the sign-flip covariant rank-one family.
 
@@ -118,8 +126,10 @@ def certify_one(angle: Angle, grid_steps: int = 0, refine_iters: int = 0) -> Cer
     refine_iters rounds of coordinate steps of halving size, runs as a
     cross-check: its failure rate goes into params["grid_oracle"], and
     the verdict fails if it beats the vertex optimum by more than
-    ORACLE_BEAT_TOL.
+    ORACLE_BEAT_TOL. Negative settings, and refine_iters > 0 without a
+    grid, raise ValueError.
     """
+    _check_grid(grid_steps, refine_iters, "refine_iters")
     if not (0.0 <= angle.two_theta < math.pi / 4.0):
         raise UnsupportedAngle(
             "certification of single elimination needs 0 <= 2*theta < 45 deg"
@@ -211,8 +221,10 @@ def certify_two(angle: Angle, grid_steps: int = 0, zoom_rounds: int = 0) -> Cert
     re-centered and shrunk over zoom_rounds rounds, runs as a
     cross-check: its success rate goes into params["grid_oracle"], and
     the verdict fails if it beats the vertex optimum by more than
-    ORACLE_BEAT_TOL.
+    ORACLE_BEAT_TOL. Negative settings, and zoom_rounds > 0 without a
+    grid, raise ValueError.
     """
+    _check_grid(grid_steps, zoom_rounds, "zoom_rounds")
     if angle.theta <= 0.0:
         raise UnsupportedAngle(
             "certification of pair elimination needs 0 < 2*theta <= 90 deg"

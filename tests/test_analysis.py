@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qelim.analysis import (
+    MAX_BOUND_QUBITS,
     BoundReport,
     discrimination_gap,
     discrimination_gap_max,
@@ -168,6 +169,13 @@ class TestLocalBound:
         with pytest.raises(ValueError):
             rep.cap(5)
 
+    def test_bound_qubit_limit(self):
+        a = Angle.from_two_theta_deg(45.0)
+        rep = elimination_bound(a, MAX_BOUND_QUBITS)
+        assert len(rep.per_k_caps) == 2**MAX_BOUND_QUBITS - 1
+        with pytest.raises(ValueError, match="up to 16 qubits"):
+            elimination_bound(a, MAX_BOUND_QUBITS + 1)
+
 
 class TestDiscriminationGap:
     def test_zero_at_endpoints(self):
@@ -216,6 +224,20 @@ class TestDiscriminationGap:
                 for f in np.linspace(0.0, 1.0, 101)
             )
             assert g_star >= grid - 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_max_matches_bisection(self, n):
+        # the root of the slope, found without the closed form
+        def slope(f):
+            return (2.0**n - 1.0) * (1.0 - f) ** (n - 1) - (1.0 + f) ** (n - 1)
+
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+        f_star, g_star = discrimination_gap_max(n)
+        assert f_star == pytest.approx((lo + hi) / 2.0, abs=1e-14)
+        assert g_star == pytest.approx(discrimination_gap((lo + hi) / 2.0, n), rel=1e-14)
 
     def test_max_rejects_small_n(self):
         with pytest.raises(ValueError):

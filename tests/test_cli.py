@@ -465,6 +465,14 @@ class TestBoundsCommand:
         assert code == 2
         assert "--n" in err
 
+    @pytest.mark.parametrize("n", ["17", "24", "40"])
+    def test_too_many_qubits_exits_two(self, capsys, n):
+        code, out, err = run_cli(capsys, ["bounds", "--two-theta-deg", "45", "--n", n])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "up to 16 qubits" in err
+
 
 class TestOutputFile:
     def test_out_writes_file(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the measurement scheme constructors."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from qelim.analysis import (
     pair_threshold,
     usd_success_prob,
 )
-from qelim.linalg import frob_dist, min_eigenvalue, outer
+from qelim.linalg import frob_dist, kron_all, outer
 from qelim.povm import (
     Effect,
     ExclusionSet,
@@ -33,6 +34,7 @@ from qelim.schemes import (
     local_usd,
     pbr_basis,
     symmetrize,
+    tensor,
     usd_qubit,
 )
 from qelim.states import Angle, uniform_ensemble
@@ -163,13 +165,16 @@ class TestAncillaEliminateOne:
         for eff in pbr.effects:
             assert frob_dist(anc_by_mask[eff.excludes.mask], eff.op) <= 1e-10
 
-    def test_completion_order_invariance(self):
-        a = Angle.from_two_theta_deg(60.0)
-        p1 = ancilla_eliminate_one(a)
-        p2 = ancilla_eliminate_one(a, completion_order=(3, 2, 1, 0))
-        for e1, e2 in zip(p1.effects, p2.effects):
-            assert e1.excludes.mask == e2.excludes.mask
-            assert frob_dist(e1.op, e2.op) <= 1e-10
+    def test_completion_order_invariance(self, dilated_ancilla_effects):
+        # a full unitary dilation, completed two different ways, traced
+        # down to the system gives the library's isometry-built effects
+        for deg in (50.0, 60.0, 75.0, 90.0):
+            a = Angle.from_two_theta_deg(deg)
+            lib = {e.excludes.mask: e.op for e in ancilla_eliminate_one(a).effects}
+            for ref in dilated_ancilla_effects(a):
+                assert sorted(ref) == sorted(lib)
+                for mask, op in ref.items():
+                    assert frob_dist(lib[mask], op) <= 1e-10, (deg, mask)
 
     def test_uniform_outcomes_at_45(self):
         a = Angle.from_two_theta_deg(45.0)
@@ -346,6 +351,85 @@ class TestLocalUsd:
             local_usd(a, MAX_LOCAL_QUBITS + 1)
         with pytest.raises(ValueError):
             local_usd(a, 0)
+
+    @pytest.mark.parametrize("deg", [0.0, 17.0, 45.0, 63.0, 90.0])
+    def test_matches_per_pattern_loop(self, deg):
+        a = Angle.from_two_theta_deg(deg)
+        for n in range(1, 6):
+            got = local_usd(a, n).effects
+            want = reference_local_usd(a, n)
+            assert len(got) == len(want) == 3 ** n
+            for e, (op, label, mask) in zip(got, want):
+                assert np.array_equal(e.op, op)
+                assert e.label == label
+                assert e.excludes.n == n
+                assert e.excludes.mask == mask
+
+
+def reference_local_usd(angle, n):
+    """(operator, label, exclusion mask) per outcome, from a per-pattern loop.
+
+    Each outcome is a Kronecker product of usd_qubit effects, and its
+    consistent patterns are found by checking every pattern against
+    every identified qubit.
+    """
+    ops = [e.op for e in usd_qubit(angle).effects]  # id(+), id(-), fail
+    full_mask = (1 << (1 << n)) - 1
+    out = []
+    for combo in itertools.product(range(3), repeat=n):
+        consistent = 0
+        for p in range(1 << n):
+            bits = [(p >> i) & 1 for i in range(n)]
+            if all(k == 2 or k == bit for k, bit in zip(combo, bits)):
+                consistent |= 1 << p
+        label = "".join("+-f"[k] for k in combo)
+        out.append((kron_all([ops[k] for k in combo]), label, full_mask ^ consistent))
+    return out
+
+
+class TestTensor:
+    @pytest.mark.parametrize("deg", [30.0, 60.0, 80.0])
+    @pytest.mark.parametrize("usd_first", [True, False])
+    def test_product_statistics_multiply(self, deg, usd_first):
+        a = Angle.from_two_theta_deg(deg)
+        usd, two = usd_qubit(a), eliminate_two(a)
+        povm = tensor(usd, two) if usd_first else tensor(two, usd)
+        assert povm.n == 3
+        assert len(povm.effects) == len(usd.effects) * len(two.effects)
+        report = validate(povm, uniform_ensemble(a, 3))
+        assert report.ok, report.violations
+        # consistent counts multiply, and the uniform ensemble is a product
+        avg_usd = outcome_probabilities(usd, uniform_ensemble(a, 1)).avg_eliminated
+        avg_two = outcome_probabilities(two, uniform_ensemble(a, 2)).avg_eliminated
+        stats = outcome_probabilities(povm, uniform_ensemble(a, 3))
+        assert stats.avg_eliminated == pytest.approx(
+            8.0 - (2.0 - avg_usd) * (4.0 - avg_two), abs=1e-12
+        )
+
+    def test_leftmost_factor_most_significant(self):
+        a = Angle.from_two_theta_deg(60.0)
+        usd, two = usd_qubit(a), eliminate_two(a)
+        povm = tensor(usd, two)
+        first = povm.effects[0]
+        assert first.label == usd.effects[0].label + two.effects[0].label
+        np.testing.assert_array_equal(first.op, np.kron(usd.effects[0].op, two.effects[0].op))
+        # id(+) on qubit 0 and not(++,+-) on qubits 1, 2: consistent
+        # patterns have qubit 0 '+' and qubits 1, 2 in {-+, --}
+        consistent = {"+-+", "+--"}
+        assert {str(p) for p in first.excludes.patterns()} == {
+            "".join(s) for s in itertools.product("+-", repeat=3)
+        } - consistent
+
+    def test_single_factor_is_unchanged(self):
+        a = Angle.from_two_theta_deg(30.0)
+        base = eliminate_one(a)
+        for e, f in zip(tensor(base).effects, base.effects):
+            assert np.array_equal(e.op, f.op)
+            assert e.label == f.label and e.excludes == f.excludes
+
+    def test_needs_a_factor(self):
+        with pytest.raises(ValueError):
+            tensor()
 
 
 def build_asymmetric_zero_error_povm(angle):

@@ -74,6 +74,19 @@ class TestCertifyOne:
         assert rep.params["refine_iters"] == 0
         assert "grid_oracle" not in rep.params
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"refine_iters": 40},
+            {"grid_steps": -1},
+            {"refine_iters": -1},
+            {"grid_steps": 5, "refine_iters": -2},
+        ],
+    )
+    def test_rejects_grid_settings_that_run_no_grid(self, kwargs):
+        with pytest.raises(ValueError):
+            certify_one(Angle.from_two_theta_deg(30.0), **kwargs)
+
     @pytest.mark.parametrize("deg", [10.0, 30.0, 40.0])
     def test_old_grid_never_beats_vertices(self, deg):
         rep = certify_one(Angle.from_two_theta_deg(deg), grid_steps=61, refine_iters=40)
@@ -122,6 +135,19 @@ class TestCertifyTwo:
         assert rep.params["grid_steps"] == 0
         assert rep.params["zoom_rounds"] == 0
         assert "grid_oracle" not in rep.params
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"zoom_rounds": 3},
+            {"grid_steps": -1},
+            {"zoom_rounds": -1},
+            {"grid_steps": 7, "zoom_rounds": -2},
+        ],
+    )
+    def test_rejects_grid_settings_that_run_no_grid(self, kwargs):
+        with pytest.raises(ValueError):
+            certify_two(Angle.from_two_theta_deg(60.0), **kwargs)
 
     @pytest.mark.parametrize("deg", [40.0, 60.0, 90.0])
     def test_old_grid_never_beats_vertices(self, deg):
