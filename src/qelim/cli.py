@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 from .analysis import discrimination_gap, elimination_bound
@@ -39,6 +40,11 @@ DEFAULT_TOL = 1e-10
 DEFAULT_SHOTS = 10 ** 6
 DEFAULT_SEED = 1
 SEED_ENV_VAR = "QELIM_SEED"
+
+# A value of this form is a negative number, not an option name.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf(inity)?|nan)$", re.IGNORECASE
+)
 
 
 def _fmt(value):
@@ -326,8 +332,22 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that takes -1e-10, -inf and -nan as option values.
+
+    argparse before Python 3.13 treats only plain decimals such as -0.5
+    as negative numbers, so "--tol -1e-10" lost its value to the option
+    scanner. Subparsers are built from the parent's class, so every
+    float option of every subcommand gets the wider pattern.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qelim",
         description="Unambiguous state-elimination measurements for qubit pairs.",
     )

@@ -247,40 +247,54 @@ def tensor(*povms: Povm) -> Povm:
     varying slowest. Its operator is the Kronecker product of theirs
     (leftmost factor most significant), its label joins theirs, and it
     excludes every pattern outside the product of their consistent sets.
+
+    Each factor widens all partial products at once: one broadcast
+    multiply of the stacked partial operators by the factor's stacked
+    operators, in the same left-to-right order as a chain of kron calls,
+    so every operator is bit-identical to that chain. The effects'
+    operators are the rows of the final (outcomes, 2**n, 2**n) array.
     """
     if not povms:
         raise ValueError("tensor needs at least one POVM")
-    n = sum(p.n for p in povms)
     first, *rest = povms
+    ops = _stacked_ops(first)
+    labels = [e.label for e in first.effects]
+    keeps = [_full_mask(first.n) ^ e.excludes.mask for e in first.effects]
+    width = first.n
+    for factor in rest:
+        f_ops = _stacked_ops(factor)
+        (k, d), (f_k, f_d) = ops.shape[:2], f_ops.shape[:2]
+        ops = (
+            ops[:, None, :, None, :, None] * f_ops[None, :, None, :, None, :]
+        ).reshape(k * f_k, d * f_d, d * f_d)
+        f_keeps = [_full_mask(factor.n) ^ e.excludes.mask for e in factor.effects]
+        keeps = [_place(keep, f_keep, width) for keep in keeps for f_keep in f_keeps]
+        labels = [label + e.label for label in labels for e in factor.effects]
+        width += factor.n
     return Povm(
         tuple(
-            Effect(op, ExclusionSet(n, _full_mask(n) ^ keep), label)
-            for e in first.effects
-            for op, label, keep in _grow(
-                e.op, e.label, _full_mask(first.n) ^ e.excludes.mask, first.n, rest
-            )
+            Effect(op, ExclusionSet(width, _full_mask(width) ^ keep), label)
+            for op, label, keep in zip(ops, labels, keeps)
         )
     )
 
 
-def _grow(op, label, keep, width, factors):
-    """Yield (op, label, consistent set) for each extension of a partial outcome.
+def _stacked_ops(povm: Povm) -> np.ndarray:
+    return np.stack([np.asarray(e.op, dtype=complex) for e in povm.effects])
 
-    Depth first, so only one partial product per factor is alive at a
-    time. keep is the consistent set of the first width qubits; each
-    pattern p the next factor's outcome does not exclude places a copy
-    of keep at offset p << width.
+
+def _place(keep: int, f_keep: int, width: int) -> int:
+    """Consistent set of a widened outcome.
+
+    keep is the consistent set of the first width qubits and f_keep that
+    of the next factor; each pattern p in f_keep places a copy of keep
+    at offset p << width.
     """
-    if not factors:
-        yield op, label, keep
-        return
-    factor, *rest = factors
-    for e in factor.effects:
-        joint = 0
-        for p in range(1 << factor.n):
-            if not (e.excludes.mask >> p) & 1:
-                joint |= keep << (p << width)
-        yield from _grow(kron(op, e.op), label + e.label, joint, width + factor.n, rest)
+    joint = 0
+    for p in range(f_keep.bit_length()):
+        if (f_keep >> p) & 1:
+            joint |= keep << (p << width)
+    return joint
 
 
 def _full_mask(n: int) -> int:

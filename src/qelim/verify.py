@@ -36,6 +36,9 @@ from .schemes import PAIR_THRESHOLD_OVERLAP, UnsupportedAngle
 from .states import Angle, Ensemble, uniform_ensemble
 
 BLOCK_SIZE = 1 << 16
+# monte_carlo refuses more shots than this. A run at the cap makes
+# 152,588 block draws, a few seconds; a mistyped count fails at once.
+MAX_SHOTS = 10 ** 10
 
 ORACLE_BEAT_TOL = 1e-12
 ORACLE_MATCH_TOL = 1e-12
@@ -363,12 +366,14 @@ def monte_carlo(povm: Povm, ensemble: Ensemble, shots: int, seed: int) -> SimRep
     Each block of BLOCK_SIZE shots takes one multinomial draw from the
     generator keyed by (seed, block index), which costs O(outcomes)
     rather than O(shots). Results are bitwise reproducible for fixed
-    (povm, ensemble, shots, seed).
+    (povm, ensemble, shots, seed). shots above MAX_SHOTS are refused.
     """
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
         raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots}")
     shots = int(shots)
     report = validate(povm, ensemble)
     if not report.ok:

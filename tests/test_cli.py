@@ -90,6 +90,39 @@ class TestValidateCommand:
         assert out == ""
         assert "tol" in err
 
+    @pytest.mark.parametrize("spelling", ["--tol=-1e-10", "--tol -1e-10"])
+    def test_negative_tol_in_scientific_notation(self, capsys, spelling):
+        # both spellings reach the tolerance check, not an argparse error
+        argv = ["validate", "--scheme", "pbr", "--two-theta-deg", "45"]
+        code, out, err = run_cli(capsys, argv + spelling.split())
+        assert code == 2
+        assert out == ""
+        assert err == "qelim validate: tol must be finite and nonnegative, got -1e-10\n"
+
+    @pytest.mark.parametrize("joined", [True, False], ids=["equals", "space"])
+    @pytest.mark.parametrize(
+        "argv, option, value, message",
+        [
+            (["validate", "--scheme", "pbr"], "--two-theta-deg", "-1e-3", "got -0.001"),
+            (["bounds"], "--two-theta-deg", "-2.5E1", "got -25.0"),
+            (["validate", "--scheme", "pbr", "--two-theta-deg", "45"], "--tol", "-inf",
+             "got -inf"),
+            (["sweep", "--scheme", "usd", "--to", "10", "--steps", "2"], "--from", "-1e1",
+             "got -10.0"),
+            (["sweep", "--scheme", "usd", "--from", "-2e1", "--steps", "2"], "--to", "-1e1",
+             "got -20.0"),
+        ],
+    )
+    def test_every_float_option_takes_scientific_negatives(
+        self, capsys, argv, option, value, message, joined
+    ):
+        extra = [f"{option}={value}"] if joined else [option, value]
+        code, out, err = run_cli(capsys, argv + extra)
+        assert code == 2
+        assert out == ""
+        assert "expected one argument" not in err
+        assert message in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -369,6 +402,13 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, self.ARGS)
         assert code == 2
         assert SEED_ENV_VAR in err
+
+    def test_shots_above_the_cap_exit_two_at_once(self, capsys):
+        argv = ["simulate", "--scheme", "pbr", "--two-theta-deg", "45"]
+        code, out, err = run_cli(capsys, argv + ["--shots", "100000000000000"])
+        assert code == 2
+        assert out == ""
+        assert "shots must be at most 10000000000" in err
 
     def test_negative_seed_rejected(self, capsys):
         code, _, err = run_cli(capsys, self.ARGS + ["--seed", "-3"])

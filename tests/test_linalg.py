@@ -6,6 +6,7 @@ import pytest
 from qelim.linalg import (
     DimensionMismatch,
     NotHermitian,
+    as_real,
     eig_hermitian,
     frob_dist,
     is_hermitian,
@@ -132,3 +133,34 @@ class TestJacobi:
         v = np.array([1.0, 1j, -1.0]) / np.sqrt(3.0)
         p = projector(v)
         np.testing.assert_allclose(eig_hermitian(p), [0.0, 0.0, 1.0], atol=1e-14)
+
+
+class TestRealPath:
+    """Real-valued data take real LAPACK; complex data keep the complex path."""
+
+    def test_as_real_drops_a_zero_imaginary_part(self):
+        m = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
+        got = as_real(m)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, m.real)
+        assert as_real(np.eye(2)).dtype == np.float64
+
+    def test_as_real_keeps_complex_data(self):
+        m = np.array([[1.0, 1e-300j], [-1e-300j, 1.0]])
+        got = as_real(m)
+        assert got.dtype == np.complex128
+        np.testing.assert_array_equal(got, m)
+
+    @pytest.mark.parametrize("dim", [2, 4, 16, 64])
+    def test_real_valued_complex_input_matches_complex_eigvalsh(self, dim):
+        rng = np.random.default_rng(2000 + dim)
+        m = rng.standard_normal((dim, dim))
+        m = ((m + m.T) / (2.0 * dim)).astype(complex)
+        np.testing.assert_allclose(eig_hermitian(m), np.linalg.eigvalsh(m), rtol=0, atol=1e-14)
+
+    def test_real_non_symmetric_still_rejected(self):
+        m = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(NotHermitian):
+            eig_hermitian(m)
+        with pytest.raises(NotHermitian):
+            eig_hermitian(m.real)

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from qelim.linalg import DimensionMismatch
+from qelim.linalg import DimensionMismatch, NotHermitian, as_real, eig_hermitian, frob_dist
 from qelim.povm import (
     DEFAULT_TOL,
     Effect,
     ExclusionSet,
     InvalidPovm,
     Povm,
+    ValidationReport,
+    _clicks,
     outcome_probabilities,
     validate,
 )
@@ -175,6 +177,102 @@ class TestValidate:
             validate(p, ens, tol=tol)
 
 
+def reference_validate(povm, ensemble, tol):
+    """validate's checks with one loop step per excluded pattern of each effect."""
+    clicks = _clicks(povm, as_real(np.array(ensemble.states)))
+    report = ValidationReport(tol=tol)
+    total = np.zeros((povm.dim, povm.dim), dtype=complex)
+    for i, e in enumerate(povm.effects):
+        name = e.label or f"effect {i}"
+        try:
+            lo = float(eig_hermitian(e.op)[0])
+        except NotHermitian:
+            report.violations.append(f"{name}: operator is not Hermitian")
+            report.min_eigenvalues.append(float("nan"))
+            report.unambiguity_residuals.append(float("nan"))
+            continue
+        report.min_eigenvalues.append(lo)
+        if lo < -tol:
+            report.violations.append(f"{name}: min eigenvalue {lo:.3e} < -{tol:.0e}")
+        resid = 0.0
+        for p in e.excludes.patterns():
+            overlap = float(clicks[i, p.bits])
+            resid = max(resid, abs(overlap))
+            if abs(overlap) > tol:
+                report.violations.append(
+                    f"{name}: excluded pattern {p} has click probability {overlap:.3e}"
+                )
+        report.unambiguity_residuals.append(resid)
+        total += e.op
+    residual = frob_dist(total, np.eye(povm.dim, dtype=complex))
+    report.completeness_residual = residual
+    if residual > tol:
+        report.violations.append(f"completeness residual {residual:.3e} > {tol:.0e}")
+    return report
+
+
+class TestValidateMatchesPerPatternLoop:
+    @staticmethod
+    def perturbed(angle):
+        """local_usd(angle, 3) with one effect clicking on excluded patterns.
+
+        Effect "+ff" gains weight on two states it claims to exclude and
+        loses some on a basis vector, so it is indefinite; effect "-+f"
+        turns non-Hermitian.
+        """
+        povm = local_usd(angle, 3)
+        ens = uniform_ensemble(angle, 3)
+        effects = list(povm.effects)
+        i = povm.labels.index("+ff")
+        excluded = [p.bits for p in effects[i].excludes.patterns()]
+        x = ens.states[excluded[0]] + ens.states[excluded[-1]]
+        op = effects[i].op + 0.05 * np.outer(x, x.conj())
+        op[7, 7] -= 0.5
+        effects[i] = Effect(op, effects[i].excludes, effects[i].label)
+        j = povm.labels.index("-+f")
+        skew = effects[j].op.copy()
+        skew[0, 1] += 0.1
+        effects[j] = Effect(skew, effects[j].excludes, effects[j].label)
+        return Povm(tuple(effects)), ens
+
+    @pytest.mark.parametrize("deg", [20.0, 45.0, 70.0])
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0, 1e-3])
+    def test_same_report(self, deg, tol):
+        povm, ens = self.perturbed(Angle.from_two_theta_deg(deg))
+        got = validate(povm, ens, tol=tol)
+        want = reference_validate(povm, ens, tol)
+        assert got.violations == want.violations
+        np.testing.assert_array_equal(got.unambiguity_residuals, want.unambiguity_residuals)
+        np.testing.assert_array_equal(got.min_eigenvalues, want.min_eigenvalues)
+        assert got.completeness_residual == want.completeness_residual
+        # the perturbation must reach every branch of the loop
+        assert sum("excluded pattern" in v for v in got.violations) >= 2
+        assert any("min eigenvalue" in v for v in got.violations)
+        assert "-+f: operator is not Hermitian" in got.violations
+
+    def test_exact_zero_click_passes_at_zero_tol(self):
+        # at 2t = 0 both states are |0>, which diag(0, 1) never sees
+        ens = uniform_ensemble(Angle.from_two_theta_deg(0.0), 1)
+        povm = Povm(
+            effects=(
+                Effect(op=np.diag([0.0, 1.0]), excludes=ExclusionSet.of(1, "+", "-")),
+                Effect(op=np.diag([1.0, 0.0]), excludes=ExclusionSet(n=1, mask=0)),
+            )
+        )
+        got, want = validate(povm, ens, tol=0.0), reference_validate(povm, ens, 0.0)
+        assert got.ok and want.ok
+        assert got.unambiguity_residuals == want.unambiguity_residuals == [0.0, 0.0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_same_report_on_the_valid_povm(self, n):
+        a = Angle.from_two_theta_deg(63.0)
+        povm, ens = local_usd(a, n), uniform_ensemble(a, n)
+        got, want = validate(povm, ens), reference_validate(povm, ens, DEFAULT_TOL)
+        assert got.ok and want.ok
+        assert got.unambiguity_residuals == want.unambiguity_residuals
+        assert got.min_eigenvalues == want.min_eigenvalues
+
+
 class TestOutcomeStats:
     def test_pbr_uniform_quarters(self):
         a = Angle.from_two_theta_deg(45.0)
@@ -211,6 +309,20 @@ class TestOutcomeStats:
         ens = uniform_ensemble(a, 2)
         stats = outcome_probabilities(povm, ens)
         assert stats.avg_eliminated == pytest.approx(1.75, abs=1e-12)
+
+    @pytest.mark.parametrize("deg", [45.0, 60.0, 90.0])
+    def test_probs_keep_complex_arithmetic(self, deg):
+        # monte_carlo's seeded counts read these bits: at an exact tie a
+        # roundoff change would swap two counts, so real states still
+        # take the complex product here
+        a = Angle.from_two_theta_deg(deg)
+        for povm in (ancilla_eliminate_one(a), local_usd(a, 3)):
+            ens = uniform_ensemble(a, povm.n)
+            s = np.array(ens.states, dtype=complex)
+            want = np.array(
+                [np.real(np.sum(s.conj() * (s @ e.op.T), axis=1)) for e in povm.effects]
+            )
+            assert np.array_equal(outcome_probabilities(povm, ens).probs, want @ ens.priors)
 
     @pytest.mark.parametrize("case", ["ancilla-one", "local-usd", "phased"])
     def test_clicks_match_direct_evaluation(self, case):

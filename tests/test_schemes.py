@@ -355,7 +355,7 @@ class TestLocalUsd:
     @pytest.mark.parametrize("deg", [0.0, 17.0, 45.0, 63.0, 90.0])
     def test_matches_per_pattern_loop(self, deg):
         a = Angle.from_two_theta_deg(deg)
-        for n in range(1, 6):
+        for n in range(1, MAX_LOCAL_QUBITS + 1):
             got = local_usd(a, n).effects
             want = reference_local_usd(a, n)
             assert len(got) == len(want) == 3 ** n
@@ -419,6 +419,21 @@ class TestTensor:
         assert {str(p) for p in first.excludes.patterns()} == {
             "".join(s) for s in itertools.product("+-", repeat=3)
         } - consistent
+
+    @pytest.mark.parametrize("deg", [30.0, 60.0, 80.0])
+    def test_operators_equal_nested_kron(self, deg):
+        a = Angle.from_two_theta_deg(deg)
+        usd, two = usd_qubit(a), eliminate_two(a)
+        for factors in [(usd, two), (usd, two, usd)]:
+            povm = tensor(*factors)
+            outcomes = list(itertools.product(*[m.effects for m in factors]))
+            assert len(povm.effects) == len(outcomes)
+            for e, parts in zip(povm.effects, outcomes):
+                want = parts[0].op
+                for part in parts[1:]:
+                    want = np.kron(want, part.op)
+                assert np.array_equal(e.op, want)
+                assert e.label == "".join(part.label for part in parts)
 
     def test_single_factor_is_unchanged(self):
         a = Angle.from_two_theta_deg(30.0)

@@ -19,6 +19,7 @@ from qelim.schemes import (
 from qelim.states import Angle, uniform_ensemble
 from qelim.verify import (
     BLOCK_SIZE,
+    MAX_SHOTS,
     CertReport,
     audit_bound,
     certify_one,
@@ -362,6 +363,14 @@ class TestMonteCarlo:
         a = Angle.from_two_theta_deg(45.0)
         with pytest.raises(ValueError):
             monte_carlo(pbr_basis(a), uniform_ensemble(a, 2), shots=0, seed=1)
+
+    def test_rejects_shots_above_the_cap(self):
+        # checked before any block is drawn, so the refusal is immediate
+        a = Angle.from_two_theta_deg(45.0)
+        assert MAX_SHOTS == 10**10
+        for shots in (MAX_SHOTS + 1, np.int64(10**14)):
+            with pytest.raises(ValueError, match="at most 10000000000"):
+                monte_carlo(pbr_basis(a), uniform_ensemble(a, 2), shots=shots, seed=1)
 
     @pytest.mark.parametrize("shots", [2.5, 3.0, np.float64(10.0), True, "10"])
     def test_rejects_non_integral_shots(self, shots):
