@@ -53,11 +53,9 @@ def _fmt(value):
     return str(value)
 
 
-def _angle_from_deg(deg: float) -> Angle:
+def _angle_from_deg(deg: float, option: str = "--two-theta-deg") -> Angle:
     if not (0.0 <= deg <= 90.0):
-        raise UnsupportedAngle(
-            f"--two-theta-deg must lie in [0, 90] degrees, got {deg!r}"
-        )
+        raise UnsupportedAngle(f"{option} must lie in [0, 90] degrees, got {deg!r}")
     return Angle.from_two_theta_deg(deg)
 
 
@@ -189,8 +187,14 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--steps must be at least 2")
     if not args.from_deg < args.to_deg:
         raise ValueError("--from must be smaller than --to")
+    _angle_from_deg(args.from_deg, "--from")
+    _angle_from_deg(args.to_deg, "--to")
     span = args.to_deg - args.from_deg
-    degs = [args.from_deg + span * i / (args.steps - 1) for i in range(args.steps)]
+    # from + span can round past --to; such a point is --to itself
+    degs = [
+        min(args.from_deg + span * i / (args.steps - 1), args.to_deg)
+        for i in range(args.steps)
+    ]
     rows = []
     columns = ["two_theta_deg", "fail_prob"]
     for deg in degs:

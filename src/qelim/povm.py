@@ -16,6 +16,9 @@ from .linalg import DimensionMismatch, NotHermitian, as_real, eig_hermitian, fro
 from .states import Ensemble, SignPattern
 
 DEFAULT_TOL = 1e-10
+# Operator entries per stacked product in _clicks: 2**14 complex
+# entries are 256 KB, a few effects' worth at n = 6.
+_STACK_ENTRIES = 1 << 14
 
 
 class InvalidPovm(ValueError):
@@ -140,18 +143,28 @@ class OutcomeStats:
 def _clicks(povm: Povm, states: np.ndarray) -> np.ndarray:
     """Click probabilities Re <psi|E|psi>, one row per effect, one column per state.
 
-    states holds one state per row. Operators are visited one at a time
-    rather than stacked, so the working memory stays at one operator
-    plus the states. Real states x take real arithmetic, since
-    Re(x^dag E x) = x^T Re(E) x for every E.
+    states holds one state per row. The operators go through in stacks
+    of at most _STACK_ENTRIES entries, one batched product per stack:
+    one numpy call per stack rather than per effect, while the working
+    memory stays at one stack (256 KB complex) plus the states, where
+    all 729 operators of local_usd at n = 6 would take 48 MB. Each
+    stacked product is the per-effect product, so the clicks are
+    bit-identical to a loop over the effects. Real states x take real
+    arithmetic, since Re(x^dag E x) = x^T Re(E) x for every E.
     """
+    effects = povm.effects
+    step = max(1, _STACK_ENTRIES // povm.dim ** 2)
+    stacks = (
+        np.stack([e.op for e in effects[i : i + step]]).transpose(0, 2, 1)
+        for i in range(0, len(effects), step)
+    )
     if np.iscomplexobj(states):
         s_conj = states.conj()
-        return np.array(
-            [np.real(np.sum(s_conj * (states @ e.op.T), axis=1)) for e in povm.effects]
+        return np.concatenate(
+            [np.real(np.sum(s_conj * (states @ ops_t), axis=2)) for ops_t in stacks]
         )
     s = np.ascontiguousarray(states)
-    return np.array([np.einsum("sd,sd->s", s, s @ e.op.real.T) for e in povm.effects])
+    return np.concatenate([np.einsum("sd,esd->es", s, s @ ops_t.real) for ops_t in stacks])
 
 
 def _exclusion_matrix(povm: Povm) -> np.ndarray:

@@ -37,6 +37,19 @@ _PBR_OVERLAP_TOL = 1e-9
 _E0 = np.array([1.0, 0.0], dtype=complex)
 _E1 = np.array([0.0, 1.0], dtype=complex)
 _SIGN_FLIP = np.diag([1.0, -1.0]).astype(complex)
+_EYE2 = np.eye(2, dtype=complex)
+# The two-qubit sign flips, indexed by the pattern bits each toggles.
+_SIGN_FLIPS = np.stack(
+    [
+        np.eye(4, dtype=complex),
+        kron(_SIGN_FLIP, _EYE2),
+        kron(_EYE2, _SIGN_FLIP),
+        kron(_SIGN_FLIP, _SIGN_FLIP),
+    ]
+)
+# Exclusion set and label of the outcome that rules out two-qubit
+# pattern b, for b = 0..3.
+_SINGLES = tuple((ExclusionSet(2, 1 << b), f"not({SignPattern(2, b)})") for b in range(4))
 
 
 class UnsupportedAngle(ValueError):
@@ -53,10 +66,6 @@ class BadLabels(ValueError):
 
 class TooManyQubits(ValueError):
     """Qubit count exceeds the supported range."""
-
-
-def _pattern_label(n: int, bits: int) -> str:
-    return f"not({SignPattern(n, bits)})"
 
 
 def pbr_basis(angle: Angle, zero_plus: bool = False) -> Povm:
@@ -85,9 +94,7 @@ def pbr_basis(angle: Angle, zero_plus: bool = False) -> Povm:
     for bits in range(4):
         i, j = bits & 1, (bits >> 1) & 1
         vec = (kron(pair[i], perp[j]) + kron(perp[i], pair[j])) / math.sqrt(2.0)
-        effects.append(
-            Effect(projector(vec), ExclusionSet(2, 1 << bits), _pattern_label(2, bits))
-        )
+        effects.append(Effect(projector(vec), *_SINGLES[bits]))
     return Povm(tuple(effects))
 
 
@@ -116,14 +123,19 @@ def eliminate_one(angle: Angle) -> Povm:
              for idx in range(4)]
         )
         vec = base * signs
-        effects.append(
-            Effect(projector(vec), ExclusionSet(2, 1 << flip), _pattern_label(2, flip))
-        )
+        effects.append(Effect(projector(vec), *_SINGLES[flip]))
     fail_coef = 1.0 - t * t * (2.0 + t) ** 2
     fail_op = np.zeros((4, 4), dtype=complex)
     fail_op[0, 0] = fail_coef
     effects.append(Effect(fail_op, ExclusionSet(2, 0), "fail"))
     return Povm(tuple(effects))
+
+
+# The 45 degree pair and its conclusive basis, which every
+# ancilla_eliminate_one call measures; built once, at import.
+_HALF = Angle(math.pi / 8.0)
+_HALF_BASIS = pbr_basis(_HALF)
+_HALF_OPS = np.stack([e.op for e in _HALF_BASIS.effects])
 
 
 def ancilla_eliminate_one(angle: Angle) -> Povm:
@@ -145,28 +157,44 @@ def ancilla_eliminate_one(angle: Angle) -> Povm:
             f"ancilla construction needs 45 <= 2*theta <= 90 deg, got "
             f"{angle.two_theta_deg!r} deg; eliminate_one covers 0 to 45 deg"
         )
-    half = Angle(math.pi / 8.0)
     mu = 0.5 * math.acos(min(1.0, math.sqrt(2.0) * angle.overlap))
     phi = {s: np.array([math.cos(mu), s * math.sin(mu)], dtype=complex) for s in (+1, -1)}
-    y = np.stack([kron(qubit_state(half, s), phi[s]) for s in (+1, -1)], axis=1)
+    y = np.stack([kron(qubit_state(_HALF, s), phi[s]) for s in (+1, -1)], axis=1)
     cos_t, sin_t = math.cos(angle.theta), math.sin(angle.theta)
     # inverse of X = [[cos_t, cos_t], [sin_t, -sin_t]]
     x_inv = np.array([[sin_t, cos_t], [sin_t, -cos_t]]) / (2.0 * sin_t * cos_t)
     w = y @ x_inv  # rows ordered (system, ancilla)
-    kraus = [kron(w[a::2], w[b::2]) for a in (0, 1) for b in (0, 1)]
+    kraus = np.stack([kron(w[a::2], w[b::2]) for a in (0, 1) for b in (0, 1)])
 
-    eye4 = np.eye(4, dtype=complex)
+    # pulled[i, k] is conclusive-basis effect i pulled back through Kraus
+    # operator k, all sixteen in one batched product
+    pulled = kraus.conj().transpose(0, 2, 1) @ _HALF_OPS[:, None] @ kraus
+    ops = sum(pulled[:, k] for k in range(len(kraus)))
+    ops = (ops + ops.conj().transpose(0, 2, 1)) / 2.0
     effects = []
     total = np.zeros((4, 4), dtype=complex)
-    for eff in pbr_basis(half).effects:
-        op = sum(k.conj().T @ eff.op @ k for k in kraus)
-        op = (op + op.conj().T) / 2.0
+    for op, eff in zip(ops, _HALF_BASIS.effects):
         total += op
         effects.append(Effect(op, eff.excludes, eff.label))
-    fail_op = eye4 - total
+    fail_op = np.eye(4, dtype=complex) - total
     fail_op = (fail_op + fail_op.conj().T) / 2.0
     effects.append(Effect(fail_op, ExclusionSet(2, 0), "fail"))
     return Povm(tuple(effects))
+
+
+# eliminate_two's six informative outcomes, in effect order: the
+# pattern pair each excludes, and its label.
+_PAIR_OUTCOMES = tuple(
+    (ExclusionSet.of(2, *pats), f"not({','.join(pats)})")
+    for pats in (
+        ("++", "+-"),
+        ("++", "-+"),
+        ("+-", "--"),
+        ("-+", "--"),
+        ("+-", "-+"),
+        ("++", "--"),
+    )
+)
 
 
 def eliminate_two(angle: Angle) -> Povm:
@@ -200,18 +228,15 @@ def eliminate_two(angle: Angle) -> Povm:
     psi_pcs = np.array([s2, 0.0, 0.0, c2], dtype=complex)
     psi_mcs = np.array([s2, 0.0, 0.0, -c2], dtype=complex)
 
-    def eff(op, *pats):
-        excl = ExclusionSet.of(2, *pats)
-        return Effect(op, excl, f"not({','.join(pats)})")
-
-    effects = [
-        eff(gamma * projector(first_plus), "++", "+-"),
-        eff(gamma * projector(second_plus), "++", "-+"),
-        eff(gamma * projector(second_minus), "+-", "--"),
-        eff(gamma * projector(first_minus), "-+", "--"),
-        eff(alpha * projector(psi_p01) + beta * projector(psi_pcs), "+-", "-+"),
-        eff(alpha * projector(psi_m01) + beta * projector(psi_mcs), "++", "--"),
-    ]
+    ops = (
+        gamma * projector(first_plus),
+        gamma * projector(second_plus),
+        gamma * projector(second_minus),
+        gamma * projector(first_minus),
+        alpha * projector(psi_p01) + beta * projector(psi_pcs),
+        alpha * projector(psi_m01) + beta * projector(psi_mcs),
+    )
+    effects = [Effect(op, excl, label) for op, (excl, label) in zip(ops, _PAIR_OUTCOMES)]
     if not deterministic:
         fail_op = np.zeros((4, 4), dtype=complex)
         fail_op[0, 0] = 2.0 - (1.0 + s2 / c2) ** 2
@@ -349,24 +374,17 @@ def symmetrize(povm: Povm) -> Povm:
     if sorted(singles) != [0, 1, 2, 3]:
         raise BadLabels("need one effect per single pattern (plus optional failure)")
 
-    eye2 = np.eye(2, dtype=complex)
-    group = [
-        (np.eye(4, dtype=complex), 0),
-        (kron(_SIGN_FLIP, eye2), 1),
-        (kron(eye2, _SIGN_FLIP), 2),
-        (kron(_SIGN_FLIP, _SIGN_FLIP), 3),
-    ]
-    effects = []
-    for target in range(4):
-        op = np.zeros((4, 4), dtype=complex)
-        for g, flip in group:
-            op = op + g @ singles[target ^ flip] @ g
-        effects.append(
-            Effect(op / 4.0, ExclusionSet(2, 1 << target), _pattern_label(2, target))
-        )
+    # terms[t, f] conjugates the effect for pattern t ^ f by flip f, all
+    # in one batched product; a fifth row does the same for the failure
+    rows = [[singles[t ^ f] for f in range(4)] for t in range(4)]
     if has_fail:
-        op = np.zeros((4, 4), dtype=complex)
-        for g, _ in group:
-            op = op + g @ fail @ g
-        effects.append(Effect(op / 4.0, ExclusionSet(2, 0), "fail"))
+        rows.append([fail] * 4)
+    terms = _SIGN_FLIPS @ np.array(rows) @ _SIGN_FLIPS
+    ops = np.zeros((len(rows), 4, 4), dtype=complex)
+    for f in range(4):
+        ops = ops + terms[:, f]
+    ops = ops / 4.0
+    effects = [Effect(op, excl, label) for op, (excl, label) in zip(ops, _SINGLES)]
+    if has_fail:
+        effects.append(Effect(ops[4], ExclusionSet(2, 0), "fail"))
     return Povm(tuple(effects))

@@ -151,10 +151,20 @@ class Ensemble:
 
 
 def uniform_ensemble(angle: Angle, n: int) -> Ensemble:
-    """All 2**n sign-pattern products with equal priors, in pattern order."""
+    """All 2**n sign-pattern products with equal priors, in pattern order.
+
+    The states are built all at once, one broadcast multiply per qubit:
+    widening by qubit k sends the pattern index p to b * 2**k + p for
+    sign b and the amplitude index d to 2 * d + j, the order of
+    product_state's left-to-right Kronecker chain, so every state is
+    bit-identical to product_state of its pattern. The states are the
+    rows of one (2**n, 2**n) array.
+    """
     if n < 1:
         raise ValueError("need at least one qubit")
-    pats = all_patterns(n)
-    states = tuple(product_state(angle, p) for p in pats)
-    priors = np.full(len(pats), 1.0 / len(pats))
-    return Ensemble(states, priors)
+    pair = np.stack([qubit_state(angle, +1), qubit_state(angle, -1)])
+    states = pair
+    for _ in range(n - 1):
+        k = states.shape[0]
+        states = (states[None, :, :, None] * pair[:, None, None, :]).reshape(2 * k, 2 * k)
+    return Ensemble(tuple(states), np.full(1 << n, 1.0 / (1 << n)))

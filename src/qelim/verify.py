@@ -84,6 +84,15 @@ class SimReport:
     dof: int
 
 
+# Every choice of k of m constraints, keyed by (m, k), for the two
+# polytopes the certifiers search: certify_one's 8 caps in 3 unknowns
+# and certify_two's 5 caps in 2.
+_PICKS = {
+    (m, k): np.array(list(itertools.combinations(range(m), k)))
+    for m, k in ((8, 3), (5, 2))
+}
+
+
 def _vertices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vertices of the polytope {x : a @ x <= b}, one per row.
 
@@ -93,7 +102,7 @@ def _vertices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dropped; of the rest, the points that satisfy every constraint
     within FEASIBLE_SLACK are the vertices.
     """
-    picks = np.array(list(itertools.combinations(range(b.size), a.shape[1])))
+    picks = _PICKS[b.size, a.shape[1]]
     systems = a[picks]
     keep = np.linalg.det(systems) != 0.0
     points = np.linalg.solve(systems[keep], b[picks[keep]][..., None])[..., 0]
@@ -353,8 +362,26 @@ def audit_bound(povm: Povm, angle: Angle, tol: float = BOUND_TOL) -> CertReport:
     )
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2 ** 64 - 1), block]))
+def _block_state(seed: int, block: int) -> dict:
+    """The state of a fresh Philox keyed by (seed, block): counter 0, empty buffer.
+
+    Setting it on an existing Philox gives the draws of
+    Philox(key=[seed, block]) without building a bit generator, whose
+    constructor also draws an OS-entropy seed that the key discards.
+    The key goes through the same array conversion Philox gives a key
+    list, so every seed keeps the counts it had with a fresh Philox.
+    """
+    return {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.asarray([seed & (2 ** 64 - 1), block]).astype(np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def monte_carlo(povm: Povm, ensemble: Ensemble, shots: int, seed: int) -> SimReport:
@@ -365,8 +392,9 @@ def monte_carlo(povm: Povm, ensemble: Ensemble, shots: int, seed: int) -> SimRep
     pbar = priors @ clicks, so the counts are Multinomial(shots, pbar).
     Each block of BLOCK_SIZE shots takes one multinomial draw from the
     generator keyed by (seed, block index), which costs O(outcomes)
-    rather than O(shots). Results are bitwise reproducible for fixed
-    (povm, ensemble, shots, seed). shots above MAX_SHOTS are refused.
+    rather than O(shots); one Philox serves every block, re-keyed
+    before each. Results are bitwise reproducible for fixed (povm,
+    ensemble, shots, seed). shots above MAX_SHOTS are refused.
     """
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
         raise ValueError(f"shots must be an integer, got {shots!r}")
@@ -383,9 +411,11 @@ def monte_carlo(povm: Povm, ensemble: Ensemble, shots: int, seed: int) -> SimRep
     pbar = np.clip(stats.probs, 0.0, None)
     pbar /= pbar.sum()
     counts = np.zeros(pbar.size, dtype=np.int64)
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
     for block, start in enumerate(range(0, shots, BLOCK_SIZE)):
-        size = min(BLOCK_SIZE, shots - start)
-        counts += _block_rng(seed, block).multinomial(size, pbar)
+        bits.state = _block_state(seed, block)
+        counts += rng.multinomial(min(BLOCK_SIZE, shots - start), pbar)
 
     freqs = counts / shots
     sizes = np.array([e.excludes.size for e in povm.effects], dtype=float)

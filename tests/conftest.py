@@ -50,3 +50,17 @@ def dilated_ancilla_effects():
     """Reference ancilla effects for two different completions of the coupling."""
     twists = (np.eye(2), np.array([[0.0, 1j], [1.0, 0.0]]))
     return lambda angle: [_dilated_ancilla_effects(angle, w) for w in twists]
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+@pytest.fixture
+def same_bits():
+    """Assert equal dtype, shape and values, and the same sign bit on every zero."""
+    return _assert_same_bits

@@ -352,6 +352,36 @@ class TestSweepCommand:
         assert code == 2
         assert "--steps" in err
 
+    @pytest.mark.parametrize(
+        "lo, hi, option, value",
+        [
+            ("-1e1", "10", "--from", "-10.0"),
+            ("-5", "95", "--from", "-5.0"),
+            ("10", "95", "--to", "95.0"),
+            ("0", "90.5", "--to", "90.5"),
+        ],
+    )
+    def test_out_of_range_end_names_its_option(self, capsys, lo, hi, option, value):
+        code, out, err = run_cli(
+            capsys, ["sweep", "--scheme", "usd", "--from", lo, "--to", hi, "--steps", "2"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"qelim sweep: {option} must lie in [0, 90] degrees, got {value}\n"
+
+    @pytest.mark.parametrize("lo, steps", [("29.3", "19"), ("0.3", "27")])
+    def test_last_point_is_the_upper_end(self, capsys, lo, steps):
+        # from + (to - from) rounds to 90.00000000000001 here; the sweep
+        # must end at --to instead of rejecting its own last point
+        code, out, _ = run_cli(
+            capsys, ["sweep", "--scheme", "usd", "--from", lo, "--to", "90", "--steps", steps]
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == int(steps)
+        assert float(rows[0]["two_theta_deg"]) == float(lo)
+        assert rows[-1]["two_theta_deg"] == "90"
+
 
 class TestSimulateCommand:
     ARGS = [

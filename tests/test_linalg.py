@@ -78,6 +78,41 @@ class TestBasics:
         assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+class TestKronBitIdentity:
+    """kron is one broadcast multiply; it must reproduce np.kron bit for bit."""
+
+    RNG = np.random.default_rng(14)
+    W = RNG.standard_normal((4, 2)) + 1j * RNG.standard_normal((4, 2))
+    SIGNED = np.array([[0.0, -0.0], [-1.5, 2.0]])
+    CASES = {
+        "vectors": (np.array([0.6, -0.0]), np.array([-0.0, 0.8j])),
+        "real matrices": (SIGNED, np.array([[1.0, -0.0], [0.0, -3.0]])),
+        "complex matrices": (W[:2], -W[2:].conj()),
+        "strided slices": (W[0::2], W[1::2]),
+        "transposed": (W.T, SIGNED),
+        "non-square": (W, RNG.standard_normal((2, 3))),
+        "vector then matrix": (np.array([1.0, -0.0j]), W),
+        "matrix then vector": (SIGNED, np.array([-0.0, 1.0, 2.0j])),
+        "3-D then vector": (RNG.standard_normal((2, 1, 2)), np.array([1.0, -1.0])),
+        "scalar": (np.array(-0.0), W),
+        "lists": ([[1.0, 0.0], [0.0, -1.0]], [1.0, -0.0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_kron_matches_numpy_bits(self, case, same_bits):
+        a, b = (np.asarray(x, dtype=complex) for x in self.CASES[case])
+        same_bits(kron(a, b), np.kron(a, b))
+        same_bits(kron(b, a), np.kron(b, a))
+        same_bits(kron(*self.CASES[case]), np.kron(a, b))
+
+    def test_kron_all_matches_numpy_chain_bits(self, same_bits):
+        factors = [self.W[0::2], self.SIGNED, np.array([-0.0, 1.0]), self.W[1::2]]
+        want = np.asarray(factors[0], dtype=complex)
+        for f in factors[1:]:
+            want = np.kron(want, np.asarray(f, dtype=complex))
+        same_bits(kron_all(factors), want)
+
+
 class TestJacobi:
     """eig_hermitian (LAPACK via numpy) against exact spectra and eigvalsh."""
 

@@ -15,7 +15,15 @@ from qelim.povm import (
     outcome_probabilities,
     validate,
 )
-from qelim.schemes import ancilla_eliminate_one, eliminate_two, local_usd, pbr_basis
+from qelim.schemes import (
+    ancilla_eliminate_one,
+    eliminate_one,
+    eliminate_two,
+    local_usd,
+    pbr_basis,
+    symmetrize,
+    usd_qubit,
+)
 from qelim.states import Angle, Ensemble, uniform_ensemble
 
 
@@ -356,3 +364,53 @@ class TestOutcomeStats:
         np.testing.assert_allclose(
             report.unambiguity_residuals, want, rtol=0, atol=1e-14
         )
+
+
+def per_effect_clicks(povm, states):
+    """_clicks as a loop over the effects, one product per operator."""
+    if np.iscomplexobj(states):
+        s_conj = states.conj()
+        return np.array(
+            [np.real(np.sum(s_conj * (states @ e.op.T), axis=1)) for e in povm.effects]
+        )
+    s = np.ascontiguousarray(states)
+    return np.array([np.einsum("sd,sd->s", s, s @ e.op.real.T) for e in povm.effects])
+
+
+def _stacked_click_cases():
+    def below(deg):
+        return deg < 45.0
+
+    builders = [
+        ("pbr", lambda a: pbr_basis(a), lambda d: d == 45.0),
+        ("eliminate-one", eliminate_one, below),
+        ("symmetrized", lambda a: symmetrize(eliminate_one(a)), below),
+        ("ancilla-one", ancilla_eliminate_one, lambda d: d >= 45.0),
+        ("eliminate-two", eliminate_two, lambda d: d > 0.0),
+        ("usd", usd_qubit, lambda d: True),
+        ("local-usd-4", lambda a: local_usd(a, 4), lambda d: True),
+        ("local-usd-6", lambda a: local_usd(a, 6), lambda d: d in (30.0, 90.0)),
+    ]
+    return [
+        pytest.param(build, deg, id=f"{name}-{deg:g}")
+        for name, build, ok in builders
+        for deg in (0.0, 20.0, 44.0, 45.0, 60.0, 70.0, 90.0, 30.0)
+        if ok(deg)
+    ]
+
+
+class TestStackedClicks:
+    @pytest.mark.parametrize("build, deg", _stacked_click_cases())
+    def test_stacked_products_equal_per_effect_loop(self, build, deg, same_bits):
+        # _clicks takes the operators in stacks, several products per
+        # call (local_usd at n = 4 and 6 spans several stacks); each click
+        # must keep the bits of the per-effect product, since seeded
+        # counts read outcome_probabilities' complex path
+        a = Angle.from_two_theta_deg(deg)
+        povm = build(a)
+        states = np.array(uniform_ensemble(a, povm.n).states)
+        for s in (states, as_real(states)):
+            want = per_effect_clicks(povm, s)
+            assert want.shape == (len(povm.effects), 1 << povm.n)
+            same_bits(_clicks(povm, s), want)
+

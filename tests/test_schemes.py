@@ -194,6 +194,70 @@ class TestAncillaEliminateOne:
         with pytest.raises(DegenerateAngle):
             ancilla_eliminate_one(Angle.from_two_theta_deg(0.0))
 
+    @pytest.mark.parametrize("deg", ANGLES + [47.3, 60.0, 70.5])
+    def test_shared_basis_matches_inline_build(self, deg, same_bits):
+        # the 45 degree conclusive basis is built once, at import; the
+        # effects must keep the bits of a build that makes it per call
+        a = Angle.from_two_theta_deg(deg)
+        got = ancilla_eliminate_one(a)
+        want = ancilla_with_inline_basis(a)
+        assert [(e.excludes, e.label) for e in got.effects] == [
+            (e.excludes, e.label) for e in want.effects
+        ]
+        for g, w in zip(got.effects, want.effects):
+            same_bits(g.op, w.op)
+
+    def test_later_calls_ignore_mutated_effects(self, same_bits):
+        # nothing built once may leak into a result: writing into one
+        # call's operators leaves every later call as it was
+        a = Angle.from_two_theta_deg(60.0)
+        first = ancilla_eliminate_one(a)
+        for e in first.effects:
+            e.op[...] = 7.0
+        again = ancilla_eliminate_one(a)
+        for g, w in zip(again.effects, ancilla_with_inline_basis(a).effects):
+            same_bits(g.op, w.op)
+        b = Angle.from_two_theta_deg(30.0)
+        want = [e.op.copy() for e in symmetrize(eliminate_one(b)).effects]
+        for e in symmetrize(eliminate_one(b)).effects:
+            e.op[...] = 7.0
+        for g, w in zip(symmetrize(eliminate_one(b)).effects, want):
+            same_bits(g.op, w)
+
+
+
+def ancilla_with_inline_basis(angle):
+    """ancilla_eliminate_one with the conclusive basis built inside the call."""
+    half = Angle(math.pi / 8.0)
+    basis = pbr_basis(half)
+    mu = 0.5 * math.acos(min(1.0, math.sqrt(2.0) * angle.overlap))
+
+    def qubit(a, s):
+        return np.array([math.cos(a.theta), s * math.sin(a.theta)], dtype=complex)
+
+    y = np.stack(
+        [
+            np.kron(qubit(half, s), np.array([math.cos(mu), s * math.sin(mu)], dtype=complex))
+            for s in (+1, -1)
+        ],
+        axis=1,
+    )
+    cos_t, sin_t = math.cos(angle.theta), math.sin(angle.theta)
+    x_inv = np.array([[sin_t, cos_t], [sin_t, -cos_t]]) / (2.0 * sin_t * cos_t)
+    w = y @ x_inv
+    kraus = [np.kron(w[a::2], w[b::2]) for a in (0, 1) for b in (0, 1)]
+    effects = []
+    total = np.zeros((4, 4), dtype=complex)
+    for eff in basis.effects:
+        op = sum(k.conj().T @ eff.op @ k for k in kraus)
+        op = (op + op.conj().T) / 2.0
+        total += op
+        effects.append(Effect(op, eff.excludes, eff.label))
+    fail_op = np.eye(4, dtype=complex) - total
+    fail_op = (fail_op + fail_op.conj().T) / 2.0
+    effects.append(Effect(fail_op, ExclusionSet(2, 0), "fail"))
+    return Povm(tuple(effects))
+
 
 class TestEliminateTwo:
     ANGLES = [5.0, 20.0, 40.0, 60.0, 65.0, 66.0, 70.0, 80.0, 90.0]
@@ -540,6 +604,25 @@ class TestSymmetrize:
         p_sym = outcome_probabilities(sym, ens).fail_prob
         assert p_sym == pytest.approx(p_raw, abs=1e-12)
 
+    @pytest.mark.parametrize("deg", [5.0, 20.0, 30.0, 44.0])
+    @pytest.mark.parametrize("with_fail", [True, False])
+    def test_matches_per_flip_loop(self, deg, with_fail, same_bits):
+        # symmetrize forms all sixteen conjugations in one batched product;
+        # each effect must keep the bits of a loop over the group
+        inputs = (
+            build_asymmetric_zero_error_povm(self.ANGLE),
+            eliminate_one(Angle.from_two_theta_deg(deg)),
+        )
+        for povm in inputs:
+            if not with_fail:
+                povm = Povm(tuple(e for e in povm.effects if not e.excludes.is_failure))
+            got = symmetrize(povm)
+            want = symmetrize_per_flip(povm)
+            assert len(got.effects) == len(want) == 4 + with_fail
+            for e, (op, mask, label) in zip(got.effects, want):
+                assert (e.excludes.mask, e.label) == (mask, label)
+                same_bits(e.op, op)
+
     def test_fixed_point_on_symmetric_input(self):
         a = Angle.from_two_theta_deg(30.0)
         povm = eliminate_one(a)
@@ -553,3 +636,30 @@ class TestSymmetrize:
             symmetrize(usd_qubit(a))  # one qubit, not two
         with pytest.raises(BadLabels):
             symmetrize(eliminate_two(Angle.from_two_theta_deg(60.0)))
+
+
+def symmetrize_per_flip(povm):
+    """symmetrize as a loop over the four sign flips: (op, mask, label) per effect."""
+    u = np.diag([1.0, -1.0]).astype(complex)
+    i2 = np.eye(2, dtype=complex)
+    group = [(np.eye(4, dtype=complex), 0), (np.kron(u, i2), 1), (np.kron(i2, u), 2),
+             (np.kron(u, u), 3)]
+    singles, fail = {}, None
+    for e in povm.effects:
+        if e.excludes.is_failure:
+            fail = (np.zeros((4, 4), dtype=complex) if fail is None else fail) + e.op
+        else:
+            b = e.excludes.mask.bit_length() - 1
+            singles[b] = singles.get(b, np.zeros((4, 4), dtype=complex)) + e.op
+    out = []
+    for target, label in enumerate(["not(++)", "not(-+)", "not(+-)", "not(--)"]):
+        op = np.zeros((4, 4), dtype=complex)
+        for g, flip in group:
+            op = op + g @ singles[target ^ flip] @ g
+        out.append((op / 4.0, 1 << target, label))
+    if fail is not None:
+        op = np.zeros((4, 4), dtype=complex)
+        for g, _ in group:
+            op = op + g @ fail @ g
+        out.append((op / 4.0, 0, "fail"))
+    return out

@@ -192,6 +192,18 @@ class TestEnsemble:
                 ens.states[k], product_state(a, p), atol=1e-15
             )
 
+    @pytest.mark.parametrize("deg", [0.0, 1e-9, 13.0, 45.0, 60.0, 89.0, 90.0])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_uniform_ensemble_is_product_states_bit_for_bit(self, deg, n, same_bits):
+        # the ensemble is built with one broadcast multiply per qubit; each
+        # row must equal product_state's Kronecker chain, zero signs included
+        a = Angle.from_two_theta_deg(deg)
+        ens = uniform_ensemble(a, n)
+        assert len(ens.states) == 1 << n
+        for state, p in zip(ens.states, all_patterns(n)):
+            same_bits(state, product_state(a, p))
+        assert np.array_equal(ens.priors, np.full(1 << n, 1.0 / (1 << n)))
+
     def test_prior_validation(self):
         v = np.array([1.0, 0.0])
         with pytest.raises(ValueError):

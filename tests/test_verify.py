@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qelim.analysis import eliminate_two_fail_prob, local_avg_eliminated, pair_threshold
-from qelim.povm import Effect, ExclusionSet, InvalidPovm, Povm
+from qelim.povm import Effect, ExclusionSet, InvalidPovm, Povm, outcome_probabilities
 from qelim.schemes import (
     UnsupportedAngle,
     ancilla_eliminate_one,
@@ -237,6 +237,25 @@ class TestMonteCarlo:
         r1 = monte_carlo(povm, ens, shots=20000, seed=7)
         r2 = monte_carlo(povm, ens, shots=20000, seed=7)
         assert r1.counts == r2.counts
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40 + 3, 2 ** 63 + 5, 2 ** 64 + 9])
+    def test_counts_equal_a_fresh_generator_per_block(self, seed):
+        # monte_carlo re-keys one Philox per block; its counts must be
+        # those of a fresh Philox(key=[seed, block]) for every block, the
+        # last one short
+        a = Angle.from_two_theta_deg(60.0)
+        povm = ancilla_eliminate_one(a)
+        ens = uniform_ensemble(a, 2)
+        shots = 3 * BLOCK_SIZE + 1234
+        pbar = np.clip(outcome_probabilities(povm, ens).probs, 0.0, None)
+        pbar /= pbar.sum()
+        want = np.zeros(pbar.size, dtype=np.int64)
+        for block, start in enumerate(range(0, shots, BLOCK_SIZE)):
+            bits = np.random.Philox(key=[seed & (2 ** 64 - 1), block])
+            want += np.random.Generator(bits).multinomial(
+                min(BLOCK_SIZE, shots - start), pbar
+            )
+        assert monte_carlo(povm, ens, shots=shots, seed=seed).counts == want.tolist()
 
     def test_seed_changes_stream(self):
         a = Angle.from_two_theta_deg(45.0)
