@@ -240,15 +240,17 @@ def validate(povm: Povm, ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Valida
 
 
 def outcome_probabilities(povm: Povm, ensemble: Ensemble) -> OutcomeStats:
-    """Click probabilities averaged over the ensemble priors."""
+    """Click probabilities averaged over the ensemble priors.
+
+    Real states take real arithmetic, as in validate, so these values
+    may differ from the complex product's at roundoff; monte_carlo
+    samples them on a grid that such differences do not reach.
+    """
     if ensemble.dim != povm.dim:
         raise DimensionMismatch(
             f"POVM dim {povm.dim} does not match ensemble dim {ensemble.dim}"
         )
-    # Complex arithmetic even for real states: monte_carlo's seeded counts
-    # read these bits, and at an exact tie (a conditional binomial p of
-    # 0.5) any roundoff change swaps two counts.
-    probs = _clicks(povm, np.array(ensemble.states, dtype=complex)) @ ensemble.priors
+    probs = _clicks(povm, as_real(np.array(ensemble.states))) @ ensemble.priors
     fail = float(sum(p for p, e in zip(probs, povm.effects) if e.excludes.is_failure))
     avg = float(sum(p * e.excludes.size for p, e in zip(probs, povm.effects)))
     return OutcomeStats(

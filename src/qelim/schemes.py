@@ -273,11 +273,15 @@ def tensor(*povms: Povm) -> Povm:
     (leftmost factor most significant), its label joins theirs, and it
     excludes every pattern outside the product of their consistent sets.
 
-    Each factor widens all partial products at once: one broadcast
-    multiply of the stacked partial operators by the factor's stacked
-    operators, in the same left-to-right order as a chain of kron calls,
-    so every operator is bit-identical to that chain. The effects'
-    operators are the rows of the final (outcomes, 2**n, 2**n) array.
+    Each factor widens all partial products at once, with one scalar
+    multiply per factor entry: the stacked partial operators times entry
+    (x, i, j) of the factor's stacked operators fill the strided slice
+    [:, x, :, i, :, j] of the widened array. Every entry is the single
+    product a * b, in the same left-to-right order as a chain of kron
+    calls, so every operator is bit-identical to that chain; a broadcast
+    over six axes would run numpy's inner loop over axes of length 2.
+    The effects' operators are the rows of the final
+    (outcomes, 2**n, 2**n) array.
     """
     if not povms:
         raise ValueError("tensor needs at least one POVM")
@@ -289,9 +293,10 @@ def tensor(*povms: Povm) -> Povm:
     for factor in rest:
         f_ops = _stacked_ops(factor)
         (k, d), (f_k, f_d) = ops.shape[:2], f_ops.shape[:2]
-        ops = (
-            ops[:, None, :, None, :, None] * f_ops[None, :, None, :, None, :]
-        ).reshape(k * f_k, d * f_d, d * f_d)
+        wide = np.empty((k, f_k, d, f_d, d, f_d), dtype=complex)
+        for x, i, j in np.ndindex(f_k, f_d, f_d):
+            np.multiply(ops, f_ops[x, i, j], out=wide[:, x, :, i, :, j])
+        ops = wide.reshape(k * f_k, d * f_d, d * f_d)
         f_keeps = [_full_mask(factor.n) ^ e.excludes.mask for e in factor.effects]
         keeps = [_place(keep, f_keep, width) for keep in keeps for f_keep in f_keeps]
         labels = [label + e.label for label in labels for e in factor.effects]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,9 @@ from .schemes import PAIR_THRESHOLD_OVERLAP, UnsupportedAngle
 from .states import Angle, Ensemble, uniform_ensemble
 
 BLOCK_SIZE = 1 << 16
+# monte_carlo rounds its outcome distribution to multiples of 2**-40,
+# so that roundoff in the click kernel cannot reach the draws.
+_PBAR_GRID = 2.0 ** 40
 # monte_carlo refuses more shots than this. A run at the cap makes
 # 152,588 block draws, a few seconds; a mistyped count fails at once.
 MAX_SHOTS = 10 ** 10
@@ -365,17 +369,20 @@ def audit_bound(povm: Povm, angle: Angle, tol: float = BOUND_TOL) -> CertReport:
 def _block_state(seed: int, block: int) -> dict:
     """The state of a fresh Philox keyed by (seed, block): counter 0, empty buffer.
 
-    Setting it on an existing Philox gives the draws of
-    Philox(key=[seed, block]) without building a bit generator, whose
+    The key words are the exact 64-bit values seed mod 2**64 and block,
+    built as uint64 directly: a key list goes through numpy's default
+    integer type, which turns a word at or above 2**63 into a float
+    and drops its low bits. A numpy integer seed is taken as the Python
+    integer it holds, since masking an int64 with 2**64 - 1 overflows.
+    Setting the state on an existing Philox gives the draws of a fresh
+    Philox with that key without building a bit generator, whose
     constructor also draws an OS-entropy seed that the key discards.
-    The key goes through the same array conversion Philox gives a key
-    list, so every seed keeps the counts it had with a fresh Philox.
     """
     return {
         "bit_generator": "Philox",
         "state": {
             "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.asarray([seed & (2 ** 64 - 1), block]).astype(np.uint64),
+            "key": np.array([operator.index(seed) & (2 ** 64 - 1), block], dtype=np.uint64),
         },
         "buffer": np.zeros(4, dtype=np.uint64),
         "buffer_pos": 4,
@@ -391,10 +398,21 @@ def monte_carlo(povm: Povm, ensemble: Ensemble, shots: int, seed: int) -> SimRep
     distribution gives each shot the outcome distribution
     pbar = priors @ clicks, so the counts are Multinomial(shots, pbar).
     Each block of BLOCK_SIZE shots takes one multinomial draw from the
-    generator keyed by (seed, block index), which costs O(outcomes)
-    rather than O(shots); one Philox serves every block, re-keyed
-    before each. Results are bitwise reproducible for fixed (povm,
-    ensemble, shots, seed). shots above MAX_SHOTS are refused.
+    generator keyed by (seed mod 2**64, block index), which costs
+    O(outcomes) rather than O(shots); one Philox serves every block,
+    re-keyed before each. Results are bitwise reproducible for fixed
+    (povm, ensemble, shots, seed). shots above MAX_SHOTS are refused.
+
+    pbar is rounded to multiples of 2**-40 and renormalised before the
+    draws. numpy draws a multinomial as a chain of binomials, so at an
+    exact tie a roundoff change in pbar would swap two counts; on the
+    grid, probabilities that differ only by roundoff (a real against a
+    complex kernel, one BLAS against another) have identical bits and
+    ties stay exact. A probability within roundoff of a grid midpoint
+    can still round either way, with odds of about |dp| * 2**40 (near
+    1e-4 for dp ~ 1e-16). The rounding biases each outcome by about
+    2**-41, and outcomes below 2**-41 never click; those lie far under
+    DEFAULT_TOL, which chi2 already skips.
     """
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
         raise ValueError(f"shots must be an integer, got {shots!r}")
@@ -408,8 +426,8 @@ def monte_carlo(povm: Povm, ensemble: Ensemble, shots: int, seed: int) -> SimRep
         raise InvalidPovm("; ".join(report.violations))
 
     stats = outcome_probabilities(povm, ensemble)
-    pbar = np.clip(stats.probs, 0.0, None)
-    pbar /= pbar.sum()
+    grid = np.rint(np.clip(stats.probs, 0.0, None) * _PBAR_GRID)
+    pbar = grid / grid.sum()
     counts = np.zeros(pbar.size, dtype=np.int64)
     bits = np.random.Philox(0)
     rng = np.random.Generator(bits)

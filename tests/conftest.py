@@ -52,6 +52,17 @@ def dilated_ancilla_effects():
     return lambda angle: [_dilated_ancilla_effects(angle, w) for w in twists]
 
 
+def _grid_pbar(probs):
+    q = np.rint(np.clip(probs, 0.0, None) * 2.0 ** 40)
+    return q / q.sum()
+
+
+@pytest.fixture
+def grid_pbar():
+    """The distribution monte_carlo samples: probabilities rounded to 2**-40, renormalised."""
+    return _grid_pbar
+
+
 def _assert_same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape

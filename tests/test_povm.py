@@ -281,6 +281,19 @@ class TestValidateMatchesPerPatternLoop:
         assert got.min_eigenvalues == want.min_eigenvalues
 
 
+# Every scheme, with the angles (2t in degrees) it is defined at.
+KERNEL_SCHEMES = (
+    (pbr_basis, lambda d: d == 45.0),
+    (eliminate_one, lambda d: d < 45.0),
+    (lambda a: symmetrize(eliminate_one(a)), lambda d: d < 45.0),
+    (ancilla_eliminate_one, lambda d: d >= 45.0),
+    (eliminate_two, lambda d: d > 0.0),
+    (usd_qubit, lambda d: True),
+    (lambda a: local_usd(a, 3), lambda d: True),
+    (lambda a: local_usd(a, 4), lambda d: True),
+)
+
+
 class TestOutcomeStats:
     def test_pbr_uniform_quarters(self):
         a = Angle.from_two_theta_deg(45.0)
@@ -318,19 +331,25 @@ class TestOutcomeStats:
         stats = outcome_probabilities(povm, ens)
         assert stats.avg_eliminated == pytest.approx(1.75, abs=1e-12)
 
-    @pytest.mark.parametrize("deg", [45.0, 60.0, 90.0])
-    def test_probs_keep_complex_arithmetic(self, deg):
-        # monte_carlo's seeded counts read these bits: at an exact tie a
-        # roundoff change would swap two counts, so real states still
-        # take the complex product here
+    @pytest.mark.parametrize("deg", [3.0 * k for k in range(31)])
+    def test_probs_keep_complex_arithmetic(self, deg, grid_pbar):
+        # real ensembles take the real kernel; its probabilities keep those
+        # of the complex per-effect product to 1e-15, and on monte_carlo's
+        # 2**-40 grid bit for bit, so seeded counts do not hang on the kernel
         a = Angle.from_two_theta_deg(deg)
-        for povm in (ancilla_eliminate_one(a), local_usd(a, 3)):
+        for build, defined in KERNEL_SCHEMES:
+            if not defined(deg):
+                continue
+            povm = build(a)
             ens = uniform_ensemble(a, povm.n)
+            assert np.isrealobj(as_real(np.array(ens.states)))
             s = np.array(ens.states, dtype=complex)
             want = np.array(
                 [np.real(np.sum(s.conj() * (s @ e.op.T), axis=1)) for e in povm.effects]
-            )
-            assert np.array_equal(outcome_probabilities(povm, ens).probs, want @ ens.priors)
+            ) @ ens.priors
+            got = outcome_probabilities(povm, ens).probs
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+            assert np.array_equal(grid_pbar(got), grid_pbar(want))
 
     @pytest.mark.parametrize("case", ["ancilla-one", "local-usd", "phased"])
     def test_clicks_match_direct_evaluation(self, case):
@@ -404,8 +423,7 @@ class TestStackedClicks:
     def test_stacked_products_equal_per_effect_loop(self, build, deg, same_bits):
         # _clicks takes the operators in stacks, several products per
         # call (local_usd at n = 4 and 6 spans several stacks); each click
-        # must keep the bits of the per-effect product, since seeded
-        # counts read outcome_probabilities' complex path
+        # must keep the bits of the per-effect product on either path
         a = Angle.from_two_theta_deg(deg)
         povm = build(a)
         states = np.array(uniform_ensemble(a, povm.n).states)

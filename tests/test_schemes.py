@@ -417,14 +417,14 @@ class TestLocalUsd:
             local_usd(a, 0)
 
     @pytest.mark.parametrize("deg", [0.0, 17.0, 45.0, 63.0, 90.0])
-    def test_matches_per_pattern_loop(self, deg):
+    def test_matches_per_pattern_loop(self, deg, same_bits):
         a = Angle.from_two_theta_deg(deg)
         for n in range(1, MAX_LOCAL_QUBITS + 1):
             got = local_usd(a, n).effects
             want = reference_local_usd(a, n)
             assert len(got) == len(want) == 3 ** n
             for e, (op, label, mask) in zip(got, want):
-                assert np.array_equal(e.op, op)
+                same_bits(e.op, op)
                 assert e.label == label
                 assert e.excludes.n == n
                 assert e.excludes.mask == mask
@@ -485,10 +485,19 @@ class TestTensor:
         } - consistent
 
     @pytest.mark.parametrize("deg", [30.0, 60.0, 80.0])
-    def test_operators_equal_nested_kron(self, deg):
+    def test_operators_equal_nested_kron(self, deg, same_bits):
+        # "phased" conjugates eliminate_two by a diagonal unitary, so its
+        # operators carry genuinely complex entries of either sign
         a = Angle.from_two_theta_deg(deg)
         usd, two = usd_qubit(a), eliminate_two(a)
-        for factors in [(usd, two), (usd, two, usd)]:
+        d = np.exp(1j * np.arange(4))
+        phased = Povm(
+            effects=tuple(
+                Effect(op=d[:, None] * e.op * d.conj(), excludes=e.excludes, label=e.label)
+                for e in two.effects
+            )
+        )
+        for factors in [(usd, two), (usd, two, usd), (phased, usd, phased), (usd, phased)]:
             povm = tensor(*factors)
             outcomes = list(itertools.product(*[m.effects for m in factors]))
             assert len(povm.effects) == len(outcomes)
@@ -496,7 +505,7 @@ class TestTensor:
                 want = parts[0].op
                 for part in parts[1:]:
                     want = np.kron(want, part.op)
-                assert np.array_equal(e.op, want)
+                same_bits(e.op, want)
                 assert e.label == "".join(part.label for part in parts)
 
     def test_single_factor_is_unchanged(self):

@@ -1,10 +1,12 @@
 """Tests for numeric certification and the Monte Carlo sampler."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import qelim.povm
 from qelim.analysis import eliminate_two_fail_prob, local_avg_eliminated, pair_threshold
 from qelim.povm import Effect, ExclusionSet, InvalidPovm, Povm, outcome_probabilities
 from qelim.schemes import (
@@ -21,6 +23,7 @@ from qelim.verify import (
     BLOCK_SIZE,
     MAX_SHOTS,
     CertReport,
+    _block_state,
     audit_bound,
     certify_one,
     certify_two,
@@ -239,23 +242,71 @@ class TestMonteCarlo:
         assert r1.counts == r2.counts
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40 + 3, 2 ** 63 + 5, 2 ** 64 + 9])
-    def test_counts_equal_a_fresh_generator_per_block(self, seed):
+    def test_counts_equal_a_fresh_generator_per_block(self, seed, grid_pbar):
         # monte_carlo re-keys one Philox per block; its counts must be
-        # those of a fresh Philox(key=[seed, block]) for every block, the
-        # last one short
+        # those of a fresh Philox keyed by the exact 64-bit words
+        # [seed mod 2**64, block] drawing from the gridded distribution,
+        # for every block, the last one short
         a = Angle.from_two_theta_deg(60.0)
         povm = ancilla_eliminate_one(a)
         ens = uniform_ensemble(a, 2)
         shots = 3 * BLOCK_SIZE + 1234
-        pbar = np.clip(outcome_probabilities(povm, ens).probs, 0.0, None)
-        pbar /= pbar.sum()
+        pbar = grid_pbar(outcome_probabilities(povm, ens).probs)
         want = np.zeros(pbar.size, dtype=np.int64)
         for block, start in enumerate(range(0, shots, BLOCK_SIZE)):
-            bits = np.random.Philox(key=[seed & (2 ** 64 - 1), block])
-            want += np.random.Generator(bits).multinomial(
+            key = np.array([seed % 2 ** 64, block], dtype=np.uint64)
+            want += np.random.Generator(np.random.Philox(key=key)).multinomial(
                 min(BLOCK_SIZE, shots - start), pbar
             )
         assert monte_carlo(povm, ens, shots=shots, seed=seed).counts == want.tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40 + 3, 2 ** 63 - 1])
+    def test_seeds_below_2_63_keep_their_key(self, seed):
+        # the exact key changes nothing where the old conversion through
+        # numpy's default integer type was exact
+        for block in (0, 1, 152587):
+            old = np.asarray([seed & (2 ** 64 - 1), block]).astype(np.uint64)
+            key = _block_state(seed, block)["state"]["key"]
+            assert key.dtype == old.dtype and np.array_equal(key, old)
+
+    def test_numpy_integer_seeds_draw_as_python_ints(self):
+        a = Angle.from_two_theta_deg(45.0)
+        povm = pbr_basis(a)
+        ens = uniform_ensemble(a, 2)
+        want = monte_carlo(povm, ens, shots=20000, seed=7).counts
+        for seed in (np.int64(7), np.uint64(7), np.int32(7)):
+            assert monte_carlo(povm, ens, shots=20000, seed=seed).counts == want
+
+    def test_high_seeds_keep_their_low_bits(self):
+        a = Angle.from_two_theta_deg(45.0)
+        povm = pbr_basis(a)
+        ens = uniform_ensemble(a, 2)
+        r1 = monte_carlo(povm, ens, shots=20000, seed=2 ** 63 + 1)
+        r2 = monte_carlo(povm, ens, shots=20000, seed=2 ** 63 + 2)
+        assert r1.counts != r2.counts
+
+    def test_largest_seed_warns_nothing(self):
+        a = Angle.from_two_theta_deg(45.0)
+        povm = pbr_basis(a)
+        ens = uniform_ensemble(a, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = monte_carlo(povm, ens, shots=20000, seed=2 ** 64 - 1)
+        assert sum(rep.counts) == 20000
+        key = _block_state(2 ** 64 - 1, 0)["state"]["key"]
+        assert key.tolist() == [2 ** 64 - 1, 0]
+
+    def test_counts_ignore_the_click_kernel(self, monkeypatch):
+        # the real and the complex kernel give probabilities that differ
+        # at roundoff here, and seeded counts that agree
+        a = Angle.from_two_theta_deg(60.0)
+        povm = ancilla_eliminate_one(a)
+        ens = uniform_ensemble(a, 2)
+        real_probs = outcome_probabilities(povm, ens).probs
+        real = monte_carlo(povm, ens, shots=10 ** 6, seed=7).counts
+        monkeypatch.setattr(qelim.povm, "as_real", lambda x: np.asarray(x, dtype=complex))
+        assert not np.array_equal(outcome_probabilities(povm, ens).probs, real_probs)
+        assert monte_carlo(povm, ens, shots=10 ** 6, seed=7).counts == real
 
     def test_seed_changes_stream(self):
         a = Angle.from_two_theta_deg(45.0)
