@@ -1,16 +1,18 @@
-"""Dense complex linear algebra for small multi-qubit operators.
+"""Dense linear algebra for small multi-qubit operators.
 
-Vectors are 1-D complex numpy arrays, operators are square 2-D complex
-arrays (row-major, 0-based). Kronecker products and rank-one
-projectors build the schemes' operators. A Kronecker product is one
-broadcast multiply, not a call of np.kron: on 2x2 and 4x4 operands
-numpy's fixed per-call cost, not arithmetic, sets the time, and np.kron
-spends some 20 us where the multiply spends 4. Eigenvalues of Hermitian
-operators come from LAPACK through numpy.linalg.eigvalsh, behind a
-shape and Hermiticity check. Data whose imaginary part is all zero,
-as every scheme's operators at real angles are, go through real
-LAPACK/BLAS instead (as_real). Every function is pure and leaves its
-inputs untouched, so results can be shared freely between threads.
+Vectors are 1-D complex numpy arrays. Operators are square 2-D arrays
+(row-major, 0-based): complex128 as the schemes build them, or float64
+where every entry is real, as in a tensor power of real factors.
+Kronecker products and rank-one projectors build the schemes'
+operators. A Kronecker product is one broadcast multiply, not a call
+of np.kron: on 2x2 and 4x4 operands numpy's fixed per-call cost, not
+arithmetic, sets the time, and np.kron spends some 20 us where the
+multiply spends 4. Eigenvalues of Hermitian operators come from LAPACK
+through numpy.linalg.eigvalsh, behind a shape and Hermiticity check.
+Data whose imaginary part is all zero, as every scheme's operators at
+real angles are, go through real LAPACK/BLAS instead (as_real). Every
+function is pure and leaves its inputs untouched, so results can be
+shared freely between threads.
 """
 
 from __future__ import annotations
@@ -31,10 +33,14 @@ class NotHermitian(ValueError):
 def as_real(a: np.ndarray) -> np.ndarray:
     """The real part of a as a float view when its imaginary part is all zero.
 
-    Otherwise a itself, as complex. Real products and eigen-solves do a
-    quarter to a half of the complex work and agree with it to roundoff.
+    Otherwise a itself, as complex. Real input comes back as float64,
+    without a copy when it already is. Real products and eigen-solves do
+    a quarter to a half of the complex work and agree with it to roundoff.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    if a.dtype.kind != "c":
+        return a.astype(float, copy=False)
+    a = a.astype(complex, copy=False)
     return a if a.imag.any() else a.real
 
 
@@ -96,7 +102,8 @@ def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return float(np.max(np.abs(a - a.conj().T))) <= HERMITIAN_TOL
+    adjoint = a.conj().T if a.dtype.kind == "c" else a.T
+    return float(np.max(np.abs(a - adjoint))) <= HERMITIAN_TOL
 
 
 def eig_hermitian(a: np.ndarray) -> np.ndarray:

@@ -16,8 +16,8 @@ from .linalg import DimensionMismatch, NotHermitian, as_real, eig_hermitian, fro
 from .states import Ensemble, SignPattern
 
 DEFAULT_TOL = 1e-10
-# Operator entries per stacked product in _clicks: 2**14 complex
-# entries are 256 KB, a few effects' worth at n = 6.
+# Operator entries per stacked product in _clicks: 2**14 entries are
+# 128 KB of real operators (256 KB complex), four effects at n = 6.
 _STACK_ENTRIES = 1 << 14
 
 
@@ -146,8 +146,8 @@ def _clicks(povm: Povm, states: np.ndarray) -> np.ndarray:
     states holds one state per row. The operators go through in stacks
     of at most _STACK_ENTRIES entries, one batched product per stack:
     one numpy call per stack rather than per effect, while the working
-    memory stays at one stack (256 KB complex) plus the states, where
-    all 729 operators of local_usd at n = 6 would take 48 MB. Each
+    memory stays at one stack (128 KB real) plus the states, where all
+    729 real operators of local_usd at n = 6 would take 24 MB. Each
     stacked product is the per-effect product, so the clicks are
     bit-identical to a loop over the effects. Real states x take real
     arithmetic, since Re(x^dag E x) = x^T Re(E) x for every E.

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .linalg import kron, projector
+from .linalg import as_real, kron, projector
 from .povm import Effect, ExclusionSet, Povm
 from .states import Angle, SignPattern, orth_state, qubit_state
 
@@ -273,27 +273,31 @@ def tensor(*povms: Povm) -> Povm:
     (leftmost factor most significant), its label joins theirs, and it
     excludes every pattern outside the product of their consistent sets.
 
+    The operators are float64 when every factor's entries are all real,
+    as every scheme's are at a real angle, and complex128 otherwise; at
+    n = 6 the 729 real operators of local_usd take 24 MB, not 48.
+
     Each factor widens all partial products at once, with one scalar
     multiply per factor entry: the stacked partial operators times entry
     (x, i, j) of the factor's stacked operators fill the strided slice
     [:, x, :, i, :, j] of the widened array. Every entry is the single
     product a * b, in the same left-to-right order as a chain of kron
-    calls, so every operator is bit-identical to that chain; a broadcast
-    over six axes would run numpy's inner loop over axes of length 2.
-    The effects' operators are the rows of the final
+    calls, so every operator is bit-identical to that chain over the
+    factors' operators (their real parts, when all are real); a
+    broadcast over six axes would run numpy's inner loop over axes of
+    length 2. The effects' operators are the rows of the final
     (outcomes, 2**n, 2**n) array.
     """
     if not povms:
         raise ValueError("tensor needs at least one POVM")
     first, *rest = povms
-    ops = _stacked_ops(first)
+    ops, *rest_ops = _stacked_ops(povms)
     labels = [e.label for e in first.effects]
     keeps = [_full_mask(first.n) ^ e.excludes.mask for e in first.effects]
     width = first.n
-    for factor in rest:
-        f_ops = _stacked_ops(factor)
+    for factor, f_ops in zip(rest, rest_ops):
         (k, d), (f_k, f_d) = ops.shape[:2], f_ops.shape[:2]
-        wide = np.empty((k, f_k, d, f_d, d, f_d), dtype=complex)
+        wide = np.empty((k, f_k, d, f_d, d, f_d), dtype=ops.dtype)
         for x, i, j in np.ndindex(f_k, f_d, f_d):
             np.multiply(ops, f_ops[x, i, j], out=wide[:, x, :, i, :, j])
         ops = wide.reshape(k * f_k, d * f_d, d * f_d)
@@ -309,8 +313,16 @@ def tensor(*povms: Povm) -> Povm:
     )
 
 
-def _stacked_ops(povm: Povm) -> np.ndarray:
-    return np.stack([np.asarray(e.op, dtype=complex) for e in povm.effects])
+def _stacked_ops(povms) -> list:
+    """Each POVM's operators as one stack, all float64 if every entry is real.
+
+    Otherwise every stack is complex128, with the entries as given.
+    """
+    stacks = [np.stack([e.op for e in povm.effects]) for povm in povms]
+    real = [as_real(ops) for ops in stacks]
+    if any(np.iscomplexobj(ops) for ops in real):
+        return [np.asarray(ops, dtype=complex) for ops in stacks]
+    return [np.ascontiguousarray(ops) for ops in real]
 
 
 def _place(keep: int, f_keep: int, width: int) -> int:

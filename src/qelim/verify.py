@@ -296,10 +296,14 @@ def _pair_success(gamma, beta, s2: float, c2: float):
 def _grid_two(
     s2: float, c2: float, gamma_hi: float, beta_hi: float, grid_steps: int, zoom_rounds: int
 ) -> float:
-    """Highest success rate of certify_two's polygon on a zooming grid."""
+    """Highest success rate of certify_two's polygon on a zooming grid.
+
+    A grid point must meet the cap exactly: with FEASIBLE_SLACK it could
+    sit just outside the polygon and report a success rate above 1.
+    """
 
     def success_of(gamma, beta):
-        feasible = 2.0 * beta * s2 * s2 + 4.0 * gamma * s2 <= 1.0 + FEASIBLE_SLACK
+        feasible = 2.0 * beta * s2 * s2 + 4.0 * gamma * s2 <= 1.0
         return np.where(feasible, _pair_success(gamma, beta, s2, c2), -np.inf)
 
     g_lo, g_hi = 0.0, gamma_hi

@@ -180,6 +180,15 @@ class TestRealPath:
         np.testing.assert_array_equal(got, m.real)
         assert as_real(np.eye(2)).dtype == np.float64
 
+    def test_as_real_returns_float64_input_uncopied(self):
+        m = np.array([[1.0, 2.0], [2.0, -1.0]])
+        assert as_real(m) is m
+
+    def test_as_real_widens_integer_input(self):
+        got = as_real(np.array([[1, -2], [-2, 3]]))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, [[1.0, -2.0], [-2.0, 3.0]])
+
     def test_as_real_keeps_complex_data(self):
         m = np.array([[1.0, 1e-300j], [-1e-300j, 1.0]])
         got = as_real(m)
@@ -194,8 +203,14 @@ class TestRealPath:
         np.testing.assert_allclose(eig_hermitian(m), np.linalg.eigvalsh(m), rtol=0, atol=1e-14)
 
     def test_real_non_symmetric_still_rejected(self):
-        m = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(NotHermitian):
-            eig_hermitian(m)
-        with pytest.raises(NotHermitian):
-            eig_hermitian(m.real)
+        # a 64 x 64 symmetric matrix with one entry off by 1e-9, as
+        # large as local_usd's operators at n = 6
+        big = np.random.default_rng(3064).standard_normal((64, 64))
+        big = big + big.T
+        assert is_hermitian(big)
+        big[63, 0] += 1e-9
+        for m in (np.array([[1.0, 0.5], [0.0, 1.0]]), big):
+            for a in (m.astype(complex), m):
+                assert not is_hermitian(a)
+                with pytest.raises(NotHermitian):
+                    eig_hermitian(a)

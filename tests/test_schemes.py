@@ -1,5 +1,6 @@
 """Tests for the measurement scheme constructors."""
 
+import functools
 import itertools
 import math
 
@@ -418,16 +419,35 @@ class TestLocalUsd:
 
     @pytest.mark.parametrize("deg", [0.0, 17.0, 45.0, 63.0, 90.0])
     def test_matches_per_pattern_loop(self, deg, same_bits):
+        # the operators are real: bit for bit the np.kron chain of the
+        # usd_qubit operators' real parts, and in value the complex chain
         a = Angle.from_two_theta_deg(deg)
+        real_ops = {ch: e.op.real for ch, e in zip("+-f", usd_qubit(a).effects)}
         for n in range(1, MAX_LOCAL_QUBITS + 1):
             got = local_usd(a, n).effects
             want = reference_local_usd(a, n)
             assert len(got) == len(want) == 3 ** n
             for e, (op, label, mask) in zip(got, want):
-                same_bits(e.op, op)
+                same_bits(e.op, functools.reduce(np.kron, [real_ops[ch] for ch in label]))
+                assert not op.imag.any()
+                assert np.array_equal(e.op, op.real)
                 assert e.label == label
                 assert e.excludes.n == n
                 assert e.excludes.mask == mask
+
+    def test_real_operators_share_one_buffer(self):
+        # 729 float64 operators of 64 x 64 in one array: 24 MB, where
+        # complex128 would take 48
+        povm = local_usd(Angle.from_two_theta_deg(45.0), 6)
+        roots = set()
+        for e in povm.effects:
+            assert e.op.dtype == np.float64
+            root = e.op
+            while root.base is not None:
+                root = root.base
+            roots.add(id(root))
+        assert len(roots) == 1
+        assert root.nbytes == 729 * 64 * 64 * 8
 
 
 def reference_local_usd(angle, n):
@@ -497,16 +517,36 @@ class TestTensor:
                 for e in two.effects
             )
         )
+        # all-real factors give real operators: bit for bit the np.kron
+        # chain of their real parts, and in value the complex chain
         for factors in [(usd, two), (usd, two, usd), (phased, usd, phased), (usd, phased)]:
             povm = tensor(*factors)
+            real = all(m is not phased for m in factors)
             outcomes = list(itertools.product(*[m.effects for m in factors]))
             assert len(povm.effects) == len(outcomes)
             for e, parts in zip(povm.effects, outcomes):
-                want = parts[0].op
-                for part in parts[1:]:
-                    want = np.kron(want, part.op)
-                same_bits(e.op, want)
+                want = functools.reduce(np.kron, [part.op for part in parts])
+                if real:
+                    same_bits(e.op, functools.reduce(np.kron, [part.op.real for part in parts]))
+                    assert not want.imag.any()
+                    assert np.array_equal(e.op, want.real)
+                else:
+                    same_bits(e.op, want)
                 assert e.label == "".join(part.label for part in parts)
+
+    def test_one_complex_factor_keeps_every_operator_complex(self):
+        a = Angle.from_two_theta_deg(60.0)
+        usd = usd_qubit(a)
+        d = np.exp(1j * np.arange(2))
+        phased = Povm(
+            effects=tuple(
+                Effect(op=d[:, None] * e.op * d.conj(), excludes=e.excludes, label=e.label)
+                for e in usd.effects
+            )
+        )
+        assert {e.op.dtype for e in tensor(usd, usd).effects} == {np.dtype(np.float64)}
+        for factors in [(phased, usd), (usd, phased), (usd, usd, phased)]:
+            assert {e.op.dtype for e in tensor(*factors).effects} == {np.dtype(np.complex128)}
 
     def test_single_factor_is_unchanged(self):
         a = Angle.from_two_theta_deg(30.0)

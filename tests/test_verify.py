@@ -159,6 +159,17 @@ class TestCertifyTwo:
         assert rep.ok, rep
         assert rep.params["grid_oracle"] <= rep.oracle + 1e-12
 
+    def test_grid_stays_inside_the_polygon(self):
+        # a grid point just past the cap can score above the optimum
+        # (1.0000000000002498 at 90 deg with a 1e-12 slack), so the grid
+        # must admit only points inside the polygon
+        for half_deg in range(1, 181):
+            rep = certify_two(
+                Angle.from_two_theta_deg(half_deg / 2.0), grid_steps=201, zoom_rounds=6
+            )
+            assert rep.params["grid_oracle"] <= rep.oracle, (half_deg / 2.0, rep)
+            assert rep.verdict == "pass", (half_deg / 2.0, rep)
+
     def test_vertex_weights_reach_the_optimum(self):
         # the reported (gamma, beta) is feasible and attains the oracle
         a = Angle.from_two_theta_deg(60.0)
