@@ -18,7 +18,7 @@ import os
 import re
 import sys
 
-from .analysis import discrimination_gap, elimination_bound
+from .analysis import discrimination_gap, elimination_bound, local_avg_eliminated
 from .povm import outcome_probabilities, validate
 from .schemes import (
     DegenerateAngle,
@@ -60,24 +60,24 @@ def _angle_from_deg(deg: float, option: str = "--two-theta-deg") -> Angle:
 
 
 def _build_scheme(scheme: str, angle: Angle, n: int):
-    """Construct the named POVM; returns (povm, qubit count)."""
+    """Construct the named POVM; n is read only by local-usd."""
     if scheme == "pbr":
-        return pbr_basis(angle), 2
+        return pbr_basis(angle)
     if scheme == "eliminate-one":
         if angle.two_theta >= math.pi / 4.0:
             raise UnsupportedAngle(
                 "eliminate-one covers 0 <= 2*theta < 45 deg; use "
                 "--scheme ancilla-one for 45 <= 2*theta <= 90 deg"
             )
-        return eliminate_one(angle), 2
+        return eliminate_one(angle)
     if scheme == "ancilla-one":
-        return ancilla_eliminate_one(angle), 2
+        return ancilla_eliminate_one(angle)
     if scheme == "eliminate-two":
-        return eliminate_two(angle), 2
+        return eliminate_two(angle)
     if scheme == "usd":
-        return usd_qubit(angle), 1
+        return usd_qubit(angle)
     if scheme == "local-usd":
-        return local_usd(angle, n), n
+        return local_usd(angle, n)
     raise UnsupportedAngle(f"unknown scheme {scheme!r}")
 
 
@@ -114,21 +114,24 @@ def _emit(args, command: str, config: dict, result: dict, rows: list, columns: l
             writer.writerow([_fmt(row.get(c, "")) for c in columns])
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # a usage error (exit 2), not a failed check (exit 1)
+            raise ValueError(f"cannot write --out {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _cmd_validate(args) -> int:
     angle = _angle_from_deg(args.two_theta_deg)
-    povm, nq = _build_scheme(args.scheme, angle, args.n)
-    ensemble = uniform_ensemble(angle, nq)
-    report = validate(povm, ensemble, tol=args.tol)
+    povm = _build_scheme(args.scheme, angle, args.n)
+    report = validate(povm, uniform_ensemble(angle, povm.n), tol=args.tol)
     config = {
         "scheme": args.scheme,
         "two_theta_deg": args.two_theta_deg,
-        "n": nq,
+        "n": povm.n,
         "tol": args.tol,
     }
     result = {
@@ -161,9 +164,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_probs(args) -> int:
     angle = _angle_from_deg(args.two_theta_deg)
-    povm, nq = _build_scheme(args.scheme, angle, args.n)
-    stats = outcome_probabilities(povm, uniform_ensemble(angle, nq))
-    config = {"scheme": args.scheme, "two_theta_deg": args.two_theta_deg, "n": nq}
+    povm = _build_scheme(args.scheme, angle, args.n)
+    stats = outcome_probabilities(povm, uniform_ensemble(angle, povm.n))
+    config = {"scheme": args.scheme, "two_theta_deg": args.two_theta_deg, "n": povm.n}
     result = {
         "labels": stats.labels,
         "probs": [float(p) for p in stats.probs],
@@ -199,9 +202,8 @@ def _cmd_sweep(args) -> int:
     columns = ["two_theta_deg", "fail_prob"]
     for deg in degs:
         angle = _angle_from_deg(deg)
-        povm, nq = _build_scheme(args.scheme, angle, args.n)
-        stats = outcome_probabilities(povm, uniform_ensemble(angle, nq))
-        bound = elimination_bound(angle, nq).bound
+        povm = _build_scheme(args.scheme, angle, args.n)
+        stats = outcome_probabilities(povm, uniform_ensemble(angle, povm.n))
         row = {"two_theta_deg": deg, "fail_prob": stats.fail_prob}
         for e, p in zip(povm.effects, stats.probs):
             key = f"p[{e.label}]"
@@ -209,7 +211,7 @@ def _cmd_sweep(args) -> int:
             if key not in columns:
                 columns.append(key)
         row["avg_eliminated"] = stats.avg_eliminated
-        row["bound"] = bound
+        row["bound"] = local_avg_eliminated(angle, povm.n)
         rows.append(row)
     columns += ["avg_eliminated", "bound"]
     for row in rows:
@@ -220,7 +222,7 @@ def _cmd_sweep(args) -> int:
         "from": args.from_deg,
         "to": args.to_deg,
         "steps": args.steps,
-        "n": nq,
+        "n": povm.n,
     }
     result = {"columns": columns, "rows": [[r.get(c) for c in columns] for r in rows]}
     _emit(args, "sweep", config, result, rows, columns)
@@ -232,12 +234,12 @@ def _cmd_simulate(args) -> int:
     if args.shots < 1:
         raise ValueError("--shots must be at least 1")
     seed = _resolve_seed(args)
-    povm, nq = _build_scheme(args.scheme, angle, args.n)
-    sim = monte_carlo(povm, uniform_ensemble(angle, nq), args.shots, seed)
+    povm = _build_scheme(args.scheme, angle, args.n)
+    sim = monte_carlo(povm, uniform_ensemble(angle, povm.n), args.shots, seed)
     config = {
         "scheme": args.scheme,
         "two_theta_deg": args.two_theta_deg,
-        "n": nq,
+        "n": povm.n,
         "shots": args.shots,
         "seed": seed,
     }

@@ -1,16 +1,16 @@
 """Dense linear algebra for small multi-qubit operators.
 
-Vectors are 1-D complex numpy arrays. Operators are square 2-D arrays
-(row-major, 0-based): complex128 as the schemes build them, or float64
-where every entry is real, as in a tensor power of real factors.
-Kronecker products and rank-one projectors build the schemes'
-operators. A Kronecker product is one broadcast multiply, not a call
-of np.kron: on 2x2 and 4x4 operands numpy's fixed per-call cost, not
-arithmetic, sets the time, and np.kron spends some 20 us where the
-multiply spends 4. Eigenvalues of Hermitian operators come from LAPACK
-through numpy.linalg.eigvalsh, behind a shape and Hermiticity check.
-Data whose imaginary part is all zero, as every scheme's operators at
-real angles are, go through real LAPACK/BLAS instead (as_real). Every
+Vectors are 1-D numpy arrays and operators square 2-D arrays
+(row-major, 0-based). The dtype follows the inputs: real data, as every
+scheme builds at a real angle, stay float64 and take real arithmetic,
+and complex data take complex arithmetic through numpy's type
+promotion. Kronecker products and rank-one projectors build the
+schemes' operators. A Kronecker product is one broadcast multiply, not
+a call of np.kron: on 2x2 and 4x4 operands numpy's fixed per-call
+cost, not arithmetic, sets the time, and np.kron spends some 20 us
+where the multiply spends 4. Eigenvalues of Hermitian operators come from LAPACK
+through numpy.linalg.eigvalsh, behind a shape and Hermiticity check,
+real symmetric or complex Hermitian as the input's dtype says. Every
 function is pure and leaves its inputs untouched, so results can be
 shared freely between threads.
 """
@@ -30,20 +30,6 @@ class NotHermitian(ValueError):
     """Matrix is not Hermitian within tolerance."""
 
 
-def as_real(a: np.ndarray) -> np.ndarray:
-    """The real part of a as a float view when its imaginary part is all zero.
-
-    Otherwise a itself, as complex. Real input comes back as float64,
-    without a copy when it already is. Real products and eigen-solves do
-    a quarter to a half of the complex work and agree with it to roundoff.
-    """
-    a = np.asarray(a)
-    if a.dtype.kind != "c":
-        return a.astype(float, copy=False)
-    a = a.astype(complex, copy=False)
-    return a if a.imag.any() else a.real
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the left factor as the most significant index.
 
@@ -53,8 +39,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     product's row-major order. Inputs of lower rank get leading unit
     axes first, as np.kron gives them.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = np.asarray(a)
+    b = np.asarray(b)
     rank = max(a.ndim, b.ndim)
     a_shape = (1,) * (rank - a.ndim) + a.shape
     b_shape = (1,) * (rank - b.ndim) + b.shape
@@ -69,7 +55,7 @@ def kron_all(factors) -> np.ndarray:
     factors = list(factors)
     if not factors:
         raise ValueError("kron_all needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
+    out = np.asarray(factors[0])
     for f in factors[1:]:
         out = kron(out, f)
     return out
@@ -77,8 +63,8 @@ def kron_all(factors) -> np.ndarray:
 
 def outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rank-one matrix |x><y|, i.e. result[i, j] = x[i] * conj(y[j])."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    x = np.asarray(x)
+    y = np.asarray(y)
     if x.ndim != 1 or y.ndim != 1:
         raise DimensionMismatch("outer expects 1-D vectors")
     return np.outer(x, y.conj())
@@ -91,8 +77,8 @@ def projector(x: np.ndarray) -> np.ndarray:
 
 def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius distance ||a - b||_F."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = np.asarray(a)
+    b = np.asarray(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
@@ -112,9 +98,10 @@ def eig_hermitian(a: np.ndarray) -> np.ndarray:
     Raises DimensionMismatch if the input is not square and NotHermitian
     if it fails the Hermiticity tolerance; LAPACK reads only one
     triangle, so an unchecked non-Hermitian input would pass silently.
-    A real-valued input is solved as the real symmetric matrix it is.
+    A real input is solved as a real symmetric matrix, a complex one as
+    a complex Hermitian matrix.
     """
-    a = as_real(a)
+    a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not is_hermitian(a):

@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatch, NotHermitian, as_real, eig_hermitian, frob_dist
+from .linalg import DimensionMismatch, NotHermitian, eig_hermitian, frob_dist
 from .states import Ensemble, SignPattern
 
 DEFAULT_TOL = 1e-10
 # Operator entries per stacked product in _clicks: 2**14 entries are
-# 128 KB of real operators (256 KB complex), four effects at n = 6.
+# four effects at n = 6, 128 KB of float64 or 256 KB of complex128
+# operators, so the working memory stays bounded whatever n is.
 _STACK_ENTRIES = 1 << 14
 
 
@@ -146,11 +147,12 @@ def _clicks(povm: Povm, states: np.ndarray) -> np.ndarray:
     states holds one state per row. The operators go through in stacks
     of at most _STACK_ENTRIES entries, one batched product per stack:
     one numpy call per stack rather than per effect, while the working
-    memory stays at one stack (128 KB real) plus the states, where all
-    729 real operators of local_usd at n = 6 would take 24 MB. Each
-    stacked product is the per-effect product, so the clicks are
-    bit-identical to a loop over the effects. Real states x take real
-    arithmetic, since Re(x^dag E x) = x^T Re(E) x for every E.
+    memory stays at one stack plus the states, where all 729 operators
+    of local_usd at n = 6 would take 24 MB. Each stacked product is the
+    per-effect product, so the clicks are bit-identical to a loop over
+    the effects. The dtype follows the inputs: real states and operators
+    take real arithmetic, and a complex state or operator makes the
+    product complex by numpy's type promotion.
     """
     effects = povm.effects
     step = max(1, _STACK_ENTRIES // povm.dim ** 2)
@@ -158,13 +160,10 @@ def _clicks(povm: Povm, states: np.ndarray) -> np.ndarray:
         np.stack([e.op for e in effects[i : i + step]]).transpose(0, 2, 1)
         for i in range(0, len(effects), step)
     )
-    if np.iscomplexobj(states):
-        s_conj = states.conj()
-        return np.concatenate(
-            [np.real(np.sum(s_conj * (states @ ops_t), axis=2)) for ops_t in stacks]
-        )
-    s = np.ascontiguousarray(states)
-    return np.concatenate([np.einsum("sd,esd->es", s, s @ ops_t.real) for ops_t in stacks])
+    s_conj = states.conj()
+    return np.concatenate(
+        [np.einsum("sd,esd->es", s_conj, states @ ops_t).real for ops_t in stacks]
+    )
 
 
 def _exclusion_matrix(povm: Povm) -> np.ndarray:
@@ -187,9 +186,9 @@ def validate(povm: Povm, ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Valida
     every pattern it claims to exclude, the click probability on that
     ensemble state must vanish within tol. tol must be finite and
     nonnegative: every comparison with NaN is false, so a NaN tol would
-    pass any POVM. Real data take real arithmetic here, for clicks and
-    eigenvalues alike. These values are only compared with tol, and they
-    may differ from the complex path's at roundoff.
+    pass any POVM. Clicks, eigenvalues and the completeness sum are
+    computed in the dtype of the states and operators: real data take
+    real arithmetic, complex data complex arithmetic.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
@@ -201,7 +200,7 @@ def validate(povm: Povm, ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Valida
     if ensemble.size < 1 << povm.n:
         raise DimensionMismatch("ensemble does not cover all sign patterns")
 
-    clicks = _clicks(povm, as_real(np.array(ensemble.states)))[:, : 1 << povm.n]
+    clicks = _clicks(povm, np.array(ensemble.states))[:, : 1 << povm.n]
     excluded = _exclusion_matrix(povm)
     overlaps = np.abs(clicks)
     # fmax ignores NaN, so a NaN click never becomes a residual
@@ -211,7 +210,7 @@ def validate(povm: Povm, ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Valida
         flagged.setdefault(int(i), []).append(int(p))
 
     report = ValidationReport(tol=tol)
-    total = np.zeros((dim, dim), dtype=complex)
+    total = np.zeros((dim, dim), dtype=np.result_type(*{e.op.dtype for e in povm.effects}))
     for i, e in enumerate(povm.effects):
         name = e.label or f"effect {i}"
         try:
@@ -232,7 +231,7 @@ def validate(povm: Povm, ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Valida
         report.unambiguity_residuals.append(resids[i])
         total += e.op
 
-    residual = frob_dist(total, np.eye(dim, dtype=complex))
+    residual = frob_dist(total, np.eye(dim))
     report.completeness_residual = residual
     if residual > tol:
         report.violations.append(f"completeness residual {residual:.3e} > {tol:.0e}")
@@ -242,15 +241,14 @@ def validate(povm: Povm, ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Valida
 def outcome_probabilities(povm: Povm, ensemble: Ensemble) -> OutcomeStats:
     """Click probabilities averaged over the ensemble priors.
 
-    Real states take real arithmetic, as in validate, so these values
-    may differ from the complex product's at roundoff; monte_carlo
-    samples them on a grid that such differences do not reach.
+    The arithmetic follows the dtype of the states and operators, as in
+    validate: real for every scheme's uniform ensemble at a real angle.
     """
     if ensemble.dim != povm.dim:
         raise DimensionMismatch(
             f"POVM dim {povm.dim} does not match ensemble dim {ensemble.dim}"
         )
-    probs = _clicks(povm, as_real(np.array(ensemble.states))) @ ensemble.priors
+    probs = _clicks(povm, np.array(ensemble.states)) @ ensemble.priors
     fail = float(sum(p for p, e in zip(probs, povm.effects) if e.excludes.is_failure))
     avg = float(sum(p * e.excludes.size for p, e in zip(probs, povm.effects)))
     return OutcomeStats(

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .linalg import as_real, kron, projector
+from .linalg import kron, projector
 from .povm import Effect, ExclusionSet, Povm
 from .states import Angle, SignPattern, orth_state, qubit_state
 
@@ -34,14 +34,14 @@ PAIR_THRESHOLD_OVERLAP = math.sqrt(2.0) - 1.0
 
 _PBR_OVERLAP_TOL = 1e-9
 
-_E0 = np.array([1.0, 0.0], dtype=complex)
-_E1 = np.array([0.0, 1.0], dtype=complex)
-_SIGN_FLIP = np.diag([1.0, -1.0]).astype(complex)
-_EYE2 = np.eye(2, dtype=complex)
+_E0 = np.array([1.0, 0.0])
+_E1 = np.array([0.0, 1.0])
+_SIGN_FLIP = np.diag([1.0, -1.0])
+_EYE2 = np.eye(2)
 # The two-qubit sign flips, indexed by the pattern bits each toggles.
 _SIGN_FLIPS = np.stack(
     [
-        np.eye(4, dtype=complex),
+        np.eye(4),
         kron(_SIGN_FLIP, _EYE2),
         kron(_EYE2, _SIGN_FLIP),
         kron(_SIGN_FLIP, _SIGN_FLIP),
@@ -82,8 +82,8 @@ def pbr_basis(angle: Angle, zero_plus: bool = False) -> Povm:
             f"conclusive basis needs 2*theta = 45 deg, got {angle.two_theta_deg!r} deg"
         )
     if zero_plus:
-        plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-        minus = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
+        plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
         pair = (_E0, plus)
         perp = (_E1, minus)
     else:
@@ -114,7 +114,7 @@ def eliminate_one(angle: Angle) -> Povm:
             f"45 to 90 deg"
         )
     t = math.tan(angle.theta)
-    base = np.array([t * (1.0 + 0.5 * t), -0.5, -0.5, -0.5], dtype=complex)
+    base = np.array([t * (1.0 + 0.5 * t), -0.5, -0.5, -0.5])
 
     effects = []
     for flip in range(4):
@@ -125,7 +125,7 @@ def eliminate_one(angle: Angle) -> Povm:
         vec = base * signs
         effects.append(Effect(projector(vec), *_SINGLES[flip]))
     fail_coef = 1.0 - t * t * (2.0 + t) ** 2
-    fail_op = np.zeros((4, 4), dtype=complex)
+    fail_op = np.zeros((4, 4))
     fail_op[0, 0] = fail_coef
     effects.append(Effect(fail_op, ExclusionSet(2, 0), "fail"))
     return Povm(tuple(effects))
@@ -158,7 +158,7 @@ def ancilla_eliminate_one(angle: Angle) -> Povm:
             f"{angle.two_theta_deg!r} deg; eliminate_one covers 0 to 45 deg"
         )
     mu = 0.5 * math.acos(min(1.0, math.sqrt(2.0) * angle.overlap))
-    phi = {s: np.array([math.cos(mu), s * math.sin(mu)], dtype=complex) for s in (+1, -1)}
+    phi = {s: np.array([math.cos(mu), s * math.sin(mu)]) for s in (+1, -1)}
     y = np.stack([kron(qubit_state(_HALF, s), phi[s]) for s in (+1, -1)], axis=1)
     cos_t, sin_t = math.cos(angle.theta), math.sin(angle.theta)
     # inverse of X = [[cos_t, cos_t], [sin_t, -sin_t]]
@@ -172,11 +172,11 @@ def ancilla_eliminate_one(angle: Angle) -> Povm:
     ops = sum(pulled[:, k] for k in range(len(kraus)))
     ops = (ops + ops.conj().transpose(0, 2, 1)) / 2.0
     effects = []
-    total = np.zeros((4, 4), dtype=complex)
+    total = np.zeros_like(ops[0])
     for op, eff in zip(ops, _HALF_BASIS.effects):
         total += op
         effects.append(Effect(op, eff.excludes, eff.label))
-    fail_op = np.eye(4, dtype=complex) - total
+    fail_op = np.eye(4) - total
     fail_op = (fail_op + fail_op.conj().T) / 2.0
     effects.append(Effect(fail_op, ExclusionSet(2, 0), "fail"))
     return Povm(tuple(effects))
@@ -223,10 +223,10 @@ def eliminate_two(angle: Angle) -> Povm:
     second_plus = kron(_E0, orth_state(angle, +1))
     second_minus = kron(_E0, orth_state(angle, -1))
     first_minus = kron(orth_state(angle, -1), _E0)
-    psi_p01 = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex)
-    psi_m01 = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex)
-    psi_pcs = np.array([s2, 0.0, 0.0, c2], dtype=complex)
-    psi_mcs = np.array([s2, 0.0, 0.0, -c2], dtype=complex)
+    psi_p01 = np.array([0.0, 1.0, 1.0, 0.0])
+    psi_m01 = np.array([0.0, 1.0, -1.0, 0.0])
+    psi_pcs = np.array([s2, 0.0, 0.0, c2])
+    psi_mcs = np.array([s2, 0.0, 0.0, -c2])
 
     ops = (
         gamma * projector(first_plus),
@@ -238,7 +238,7 @@ def eliminate_two(angle: Angle) -> Povm:
     )
     effects = [Effect(op, excl, label) for op, (excl, label) in zip(ops, _PAIR_OUTCOMES)]
     if not deterministic:
-        fail_op = np.zeros((4, 4), dtype=complex)
+        fail_op = np.zeros((4, 4))
         fail_op[0, 0] = 2.0 - (1.0 + s2 / c2) ** 2
         effects.append(Effect(fail_op, ExclusionSet(2, 0), "fail"))
     return Povm(tuple(effects))
@@ -254,7 +254,7 @@ def usd_qubit(angle: Angle) -> Povm:
     w = 1.0 / (1.0 + angle.overlap)
     id_plus = w * projector(orth_state(angle, -1))
     id_minus = w * projector(orth_state(angle, +1))
-    fail = np.eye(2, dtype=complex) - id_plus - id_minus
+    fail = np.eye(2) - id_plus - id_minus
     fail = (fail + fail.conj().T) / 2.0
     return Povm(
         (
@@ -273,31 +273,31 @@ def tensor(*povms: Povm) -> Povm:
     (leftmost factor most significant), its label joins theirs, and it
     excludes every pattern outside the product of their consistent sets.
 
-    The operators are float64 when every factor's entries are all real,
-    as every scheme's are at a real angle, and complex128 otherwise; at
-    n = 6 the 729 real operators of local_usd take 24 MB, not 48.
+    The dtype follows the factors: float64 when all are real, as every
+    scheme is at a real angle, and complex128 once any factor is
+    complex; at n = 6 the 729 real operators of local_usd take 24 MB.
 
     Each factor widens all partial products at once, with one scalar
     multiply per factor entry: the stacked partial operators times entry
     (x, i, j) of the factor's stacked operators fill the strided slice
-    [:, x, :, i, :, j] of the widened array. Every entry is the single
-    product a * b, in the same left-to-right order as a chain of kron
-    calls, so every operator is bit-identical to that chain over the
-    factors' operators (their real parts, when all are real); a
-    broadcast over six axes would run numpy's inner loop over axes of
-    length 2. The effects' operators are the rows of the final
-    (outcomes, 2**n, 2**n) array.
+    [:, x, :, i, :, j] of the widened array, whose dtype is the
+    np.result_type of the two stacks. Every entry is the single product
+    a * b, in the same left-to-right order as a chain of kron calls, so
+    every operator is bit-identical to that chain over the factors'
+    operators; a broadcast over six axes would run numpy's inner loop
+    over axes of length 2. The effects' operators are the rows of the
+    final (outcomes, 2**n, 2**n) array.
     """
     if not povms:
         raise ValueError("tensor needs at least one POVM")
     first, *rest = povms
-    ops, *rest_ops = _stacked_ops(povms)
+    ops, *rest_ops = [np.stack([e.op for e in povm.effects]) for povm in povms]
     labels = [e.label for e in first.effects]
     keeps = [_full_mask(first.n) ^ e.excludes.mask for e in first.effects]
     width = first.n
     for factor, f_ops in zip(rest, rest_ops):
         (k, d), (f_k, f_d) = ops.shape[:2], f_ops.shape[:2]
-        wide = np.empty((k, f_k, d, f_d, d, f_d), dtype=ops.dtype)
+        wide = np.empty((k, f_k, d, f_d, d, f_d), dtype=np.result_type(ops, f_ops))
         for x, i, j in np.ndindex(f_k, f_d, f_d):
             np.multiply(ops, f_ops[x, i, j], out=wide[:, x, :, i, :, j])
         ops = wide.reshape(k * f_k, d * f_d, d * f_d)
@@ -311,18 +311,6 @@ def tensor(*povms: Povm) -> Povm:
             for op, label, keep in zip(ops, labels, keeps)
         )
     )
-
-
-def _stacked_ops(povms) -> list:
-    """Each POVM's operators as one stack, all float64 if every entry is real.
-
-    Otherwise every stack is complex128, with the entries as given.
-    """
-    stacks = [np.stack([e.op for e in povm.effects]) for povm in povms]
-    real = [as_real(ops) for ops in stacks]
-    if any(np.iscomplexobj(ops) for ops in real):
-        return [np.asarray(ops, dtype=complex) for ops in stacks]
-    return [np.ascontiguousarray(ops) for ops in real]
 
 
 def _place(keep: int, f_keep: int, width: int) -> int:
@@ -376,8 +364,9 @@ def symmetrize(povm: Povm) -> Povm:
     """
     if povm.n != 2:
         raise BadLabels("symmetrization is defined for two-qubit POVMs")
+    # float64 zeros: every sum below takes the effects' dtype by promotion
     singles: dict[int, np.ndarray] = {}
-    fail = np.zeros((4, 4), dtype=complex)
+    fail = np.zeros((4, 4))
     has_fail = False
     for e in povm.effects:
         if e.excludes.is_failure:
@@ -385,7 +374,7 @@ def symmetrize(povm: Povm) -> Povm:
             has_fail = True
         elif e.excludes.size == 1:
             bits = e.excludes.patterns()[0].bits
-            singles[bits] = singles.get(bits, np.zeros((4, 4), dtype=complex)) + e.op
+            singles[bits] = singles.get(bits, np.zeros((4, 4))) + e.op
         else:
             raise BadLabels(f"unexpected exclusion set {e.excludes}")
     if sorted(singles) != [0, 1, 2, 3]:
@@ -397,7 +386,7 @@ def symmetrize(povm: Povm) -> Povm:
     if has_fail:
         rows.append([fail] * 4)
     terms = _SIGN_FLIPS @ np.array(rows) @ _SIGN_FLIPS
-    ops = np.zeros((len(rows), 4, 4), dtype=complex)
+    ops = np.zeros((len(rows), 4, 4))
     for f in range(4):
         ops = ops + terms[:, f]
     ops = ops / 4.0

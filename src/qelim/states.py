@@ -104,17 +104,17 @@ def all_patterns(n: int) -> list[SignPattern]:
 
 
 def qubit_state(angle: Angle, sign: int) -> np.ndarray:
-    """Single qubit state (cos t, sign * sin t) for sign = +1 or -1."""
+    """Single qubit state (cos t, sign * sin t) for sign = +1 or -1, as float64."""
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return np.array([math.cos(angle.theta), sign * math.sin(angle.theta)], dtype=complex)
+    return np.array([math.cos(angle.theta), sign * math.sin(angle.theta)])
 
 
 def orth_state(angle: Angle, sign: int) -> np.ndarray:
-    """Unit state orthogonal to qubit_state(angle, sign): (sin t, -sign * cos t)."""
+    """Unit state orthogonal to qubit_state(angle, sign): (sin t, -sign * cos t), float64."""
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return np.array([math.sin(angle.theta), -sign * math.cos(angle.theta)], dtype=complex)
+    return np.array([math.sin(angle.theta), -sign * math.cos(angle.theta)])
 
 
 def product_state(angle: Angle, pattern: SignPattern) -> np.ndarray:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qelim
-from qelim.analysis import pair_threshold
+from qelim.analysis import local_avg_eliminated, pair_threshold
 from qelim.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 from qelim.povm import outcome_probabilities
 from qelim.schemes import eliminate_two
@@ -271,6 +271,18 @@ class TestSweepCommand:
             assert r[fail_col] != ""
             if deg > thr:
                 assert float(r[fail_col]) == 0.0
+
+    @pytest.mark.parametrize("scheme, n", [("usd", 1), ("eliminate-two", 2), ("local-usd", 3)])
+    def test_bound_is_the_local_benchmark_on_the_schemes_qubits(self, capsys, scheme, n):
+        argv = ["sweep", "--scheme", scheme, "--from", "30", "--to", "90", "--steps", "3"]
+        code, out, _ = run_cli(capsys, argv + ["--n", "3", "--format", "json"])
+        assert code == 0
+        doc = parse_json(out)
+        assert doc["config"]["n"] == n
+        columns = doc["result"]["columns"]
+        for row in doc["result"]["rows"]:
+            deg, bound = row[0], row[columns.index("bound")]
+            assert bound == local_avg_eliminated(Angle.from_two_theta_deg(deg), n)
 
     def test_fail_prob_decreases_to_zero(self, capsys):
         code, out, _ = run_cli(
@@ -563,6 +575,19 @@ class TestOutputFile:
         assert out == ""
         doc = json.loads(target.read_text(encoding="utf-8"))
         assert doc["result"]["ok"] is True
+
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, where):
+        target = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+        code, out, err = run_cli(
+            capsys,
+            ["probs", "--scheme", "usd", "--two-theta-deg", "60", "--out", str(target)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"qelim probs: cannot write --out {target}: [Errno ")
 
 
 class TestEntryPoints:

@@ -6,7 +6,6 @@ import pytest
 from qelim.linalg import (
     DimensionMismatch,
     NotHermitian,
-    as_real,
     eig_hermitian,
     frob_dist,
     is_hermitian,
@@ -103,7 +102,8 @@ class TestKronBitIdentity:
         a, b = (np.asarray(x, dtype=complex) for x in self.CASES[case])
         same_bits(kron(a, b), np.kron(a, b))
         same_bits(kron(b, a), np.kron(b, a))
-        same_bits(kron(*self.CASES[case]), np.kron(a, b))
+        # raw input keeps its own dtype, as np.kron's does
+        same_bits(kron(*self.CASES[case]), np.kron(*self.CASES[case]))
 
     def test_kron_all_matches_numpy_chain_bits(self, same_bits):
         factors = [self.W[0::2], self.SIGNED, np.array([-0.0, 1.0]), self.W[1::2]]
@@ -111,6 +111,27 @@ class TestKronBitIdentity:
         for f in factors[1:]:
             want = np.kron(want, np.asarray(f, dtype=complex))
         same_bits(kron_all(factors), want)
+
+
+class TestDtypeFollowsInputs:
+    """Real inputs give float64, and one complex input makes the result complex."""
+
+    REAL = np.array([[1.0, -2.0], [0.5, 3.0]])
+    VEC = np.array([0.6, -0.8])
+
+    def test_real_inputs_stay_float64(self):
+        assert kron(self.REAL, self.VEC).dtype == np.float64
+        assert kron_all([self.REAL, self.REAL, self.VEC]).dtype == np.float64
+        assert outer(self.VEC, self.VEC).dtype == np.float64
+        assert projector(self.VEC).dtype == np.float64
+
+    def test_one_complex_input_makes_the_result_complex(self, same_bits):
+        z = self.VEC * np.exp(0.3j)
+        assert kron(self.REAL, z).dtype == np.complex128
+        assert kron_all([self.REAL, z, self.REAL]).dtype == np.complex128
+        same_bits(outer(self.VEC, z), np.outer(self.VEC, z.conj()))
+        same_bits(projector(z), np.outer(z, z.conj()))
+        assert frob_dist(z, self.VEC) == np.linalg.norm(z - self.VEC)
 
 
 class TestJacobi:
@@ -171,29 +192,7 @@ class TestJacobi:
 
 
 class TestRealPath:
-    """Real-valued data take real LAPACK; complex data keep the complex path."""
-
-    def test_as_real_drops_a_zero_imaginary_part(self):
-        m = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
-        got = as_real(m)
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, m.real)
-        assert as_real(np.eye(2)).dtype == np.float64
-
-    def test_as_real_returns_float64_input_uncopied(self):
-        m = np.array([[1.0, 2.0], [2.0, -1.0]])
-        assert as_real(m) is m
-
-    def test_as_real_widens_integer_input(self):
-        got = as_real(np.array([[1, -2], [-2, 3]]))
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, [[1.0, -2.0], [-2.0, 3.0]])
-
-    def test_as_real_keeps_complex_data(self):
-        m = np.array([[1.0, 1e-300j], [-1e-300j, 1.0]])
-        got = as_real(m)
-        assert got.dtype == np.complex128
-        np.testing.assert_array_equal(got, m)
+    """Real data take real LAPACK; complex-typed data the complex path."""
 
     @pytest.mark.parametrize("dim", [2, 4, 16, 64])
     def test_real_valued_complex_input_matches_complex_eigvalsh(self, dim):

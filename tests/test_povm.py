@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qelim.linalg import DimensionMismatch, NotHermitian, as_real, eig_hermitian, frob_dist
+from qelim.linalg import DimensionMismatch, NotHermitian, eig_hermitian, frob_dist
 from qelim.povm import (
     DEFAULT_TOL,
     Effect,
@@ -187,9 +187,9 @@ class TestValidate:
 
 def reference_validate(povm, ensemble, tol):
     """validate's checks with one loop step per excluded pattern of each effect."""
-    clicks = _clicks(povm, as_real(np.array(ensemble.states)))
+    clicks = _clicks(povm, np.array(ensemble.states))
     report = ValidationReport(tol=tol)
-    total = np.zeros((povm.dim, povm.dim), dtype=complex)
+    total = np.zeros((povm.dim, povm.dim))
     for i, e in enumerate(povm.effects):
         name = e.label or f"effect {i}"
         try:
@@ -211,8 +211,8 @@ def reference_validate(povm, ensemble, tol):
                     f"{name}: excluded pattern {p} has click probability {overlap:.3e}"
                 )
         report.unambiguity_residuals.append(resid)
-        total += e.op
-    residual = frob_dist(total, np.eye(povm.dim, dtype=complex))
+        total = total + e.op
+    residual = frob_dist(total, np.eye(povm.dim))
     report.completeness_residual = residual
     if residual > tol:
         report.violations.append(f"completeness residual {residual:.3e} > {tol:.0e}")
@@ -333,16 +333,17 @@ class TestOutcomeStats:
 
     @pytest.mark.parametrize("deg", [3.0 * k for k in range(31)])
     def test_probs_keep_complex_arithmetic(self, deg, grid_pbar):
-        # real ensembles take the real kernel; its probabilities keep those
-        # of the complex per-effect product to 1e-15, and on monte_carlo's
-        # 2**-40 grid bit for bit, so seeded counts do not hang on the kernel
+        # real ensembles and operators take real arithmetic; its
+        # probabilities keep those of the complex per-effect product to
+        # 1e-15, and on monte_carlo's 2**-40 grid bit for bit, so seeded
+        # counts do not hang on the dtype
         a = Angle.from_two_theta_deg(deg)
         for build, defined in KERNEL_SCHEMES:
             if not defined(deg):
                 continue
             povm = build(a)
             ens = uniform_ensemble(a, povm.n)
-            assert np.isrealobj(as_real(np.array(ens.states)))
+            assert np.array(ens.states).dtype == np.float64
             s = np.array(ens.states, dtype=complex)
             want = np.array(
                 [np.real(np.sum(s.conj() * (s @ e.op.T), axis=1)) for e in povm.effects]
@@ -387,13 +388,10 @@ class TestOutcomeStats:
 
 def per_effect_clicks(povm, states):
     """_clicks as a loop over the effects, one product per operator."""
-    if np.iscomplexobj(states):
-        s_conj = states.conj()
-        return np.array(
-            [np.real(np.sum(s_conj * (states @ e.op.T), axis=1)) for e in povm.effects]
-        )
-    s = np.ascontiguousarray(states)
-    return np.array([np.einsum("sd,sd->s", s, s @ e.op.real.T) for e in povm.effects])
+    s_conj = states.conj()
+    return np.array(
+        [np.einsum("sd,sd->s", s_conj, states @ e.op.T).real for e in povm.effects]
+    )
 
 
 def _stacked_click_cases():
@@ -423,12 +421,28 @@ class TestStackedClicks:
     def test_stacked_products_equal_per_effect_loop(self, build, deg, same_bits):
         # _clicks takes the operators in stacks, several products per
         # call (local_usd at n = 4 and 6 spans several stacks); each click
-        # must keep the bits of the per-effect product on either path
+        # must keep the bits of the per-effect product whatever the dtypes:
+        # real states, complex-typed copies of them, and a phased POVM
+        # with real or phased states
         a = Angle.from_two_theta_deg(deg)
         povm = build(a)
         states = np.array(uniform_ensemble(a, povm.n).states)
-        for s in (states, as_real(states)):
-            want = per_effect_clicks(povm, s)
+        assert states.dtype == np.float64
+        d = np.exp(1j * np.arange(povm.dim))
+        phased = Povm(
+            effects=tuple(
+                Effect(op=d[:, None] * e.op * d.conj(), excludes=e.excludes)
+                for e in povm.effects
+            )
+        )
+        cases = [
+            (povm, states),
+            (povm, states.astype(complex)),
+            (phased, states),
+            (phased, states * d),
+        ]
+        for p, s in cases:
+            want = per_effect_clicks(p, s)
             assert want.shape == (len(povm.effects), 1 << povm.n)
-            same_bits(_clicks(povm, s), want)
+            same_bits(_clicks(p, s), want)
 

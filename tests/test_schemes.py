@@ -234,13 +234,10 @@ def ancilla_with_inline_basis(angle):
     mu = 0.5 * math.acos(min(1.0, math.sqrt(2.0) * angle.overlap))
 
     def qubit(a, s):
-        return np.array([math.cos(a.theta), s * math.sin(a.theta)], dtype=complex)
+        return np.array([math.cos(a.theta), s * math.sin(a.theta)])
 
     y = np.stack(
-        [
-            np.kron(qubit(half, s), np.array([math.cos(mu), s * math.sin(mu)], dtype=complex))
-            for s in (+1, -1)
-        ],
+        [np.kron(qubit(half, s), np.array([math.cos(mu), s * math.sin(mu)])) for s in (+1, -1)],
         axis=1,
     )
     cos_t, sin_t = math.cos(angle.theta), math.sin(angle.theta)
@@ -248,13 +245,13 @@ def ancilla_with_inline_basis(angle):
     w = y @ x_inv
     kraus = [np.kron(w[a::2], w[b::2]) for a in (0, 1) for b in (0, 1)]
     effects = []
-    total = np.zeros((4, 4), dtype=complex)
+    total = np.zeros((4, 4))
     for eff in basis.effects:
         op = sum(k.conj().T @ eff.op @ k for k in kraus)
         op = (op + op.conj().T) / 2.0
         total += op
         effects.append(Effect(op, eff.excludes, eff.label))
-    fail_op = np.eye(4, dtype=complex) - total
+    fail_op = np.eye(4) - total
     fail_op = (fail_op + fail_op.conj().T) / 2.0
     effects.append(Effect(fail_op, ExclusionSet(2, 0), "fail"))
     return Povm(tuple(effects))
@@ -560,6 +557,36 @@ class TestTensor:
             tensor()
 
 
+class TestOperatorDtype:
+    """Operators follow their inputs: float64 at a real angle, complex once an input is."""
+
+    @pytest.mark.parametrize("deg", [0.0, 10.0, 30.0, 44.0, 45.0, 60.0, 70.0, 90.0])
+    def test_real_angle_gives_float64_operators(self, deg):
+        a = Angle.from_two_theta_deg(deg)
+        two = eliminate_one(a) if deg < 45.0 else ancilla_eliminate_one(a)
+        povms = [two, usd_qubit(a), local_usd(a, 3), tensor(usd_qubit(a), two, usd_qubit(a))]
+        if deg < 45.0:
+            povms.append(symmetrize(two))
+        if deg == 45.0:
+            povms += [pbr_basis(a), pbr_basis(a, zero_plus=True)]
+        if deg > 0.0:
+            povms.append(eliminate_two(a))
+        for povm in povms:
+            assert {e.op.dtype for e in povm.effects} == {np.dtype(np.float64)}
+
+    def test_complex_input_gives_complex_operators(self):
+        a = Angle.from_two_theta_deg(30.0)
+        d = np.exp(1j * np.arange(4))
+        phased = Povm(
+            effects=tuple(
+                Effect(op=d[:, None] * e.op * d.conj(), excludes=e.excludes, label=e.label)
+                for e in eliminate_one(a).effects
+            )
+        )
+        for povm in (symmetrize(phased), tensor(usd_qubit(a), phased, usd_qubit(a))):
+            assert {e.op.dtype for e in povm.effects} == {np.dtype(np.complex128)}
+
+
 def build_asymmetric_zero_error_povm(angle):
     """A hand-tuned unambiguous POVM without the sign-flip symmetry.
 
@@ -689,25 +716,24 @@ class TestSymmetrize:
 
 def symmetrize_per_flip(povm):
     """symmetrize as a loop over the four sign flips: (op, mask, label) per effect."""
-    u = np.diag([1.0, -1.0]).astype(complex)
-    i2 = np.eye(2, dtype=complex)
-    group = [(np.eye(4, dtype=complex), 0), (np.kron(u, i2), 1), (np.kron(i2, u), 2),
-             (np.kron(u, u), 3)]
+    u = np.diag([1.0, -1.0])
+    i2 = np.eye(2)
+    group = [(np.eye(4), 0), (np.kron(u, i2), 1), (np.kron(i2, u), 2), (np.kron(u, u), 3)]
     singles, fail = {}, None
     for e in povm.effects:
         if e.excludes.is_failure:
-            fail = (np.zeros((4, 4), dtype=complex) if fail is None else fail) + e.op
+            fail = (np.zeros((4, 4)) if fail is None else fail) + e.op
         else:
             b = e.excludes.mask.bit_length() - 1
-            singles[b] = singles.get(b, np.zeros((4, 4), dtype=complex)) + e.op
+            singles[b] = singles.get(b, np.zeros((4, 4))) + e.op
     out = []
     for target, label in enumerate(["not(++)", "not(-+)", "not(+-)", "not(--)"]):
-        op = np.zeros((4, 4), dtype=complex)
+        op = np.zeros((4, 4))
         for g, flip in group:
             op = op + g @ singles[target ^ flip] @ g
         out.append((op / 4.0, 1 << target, label))
     if fail is not None:
-        op = np.zeros((4, 4), dtype=complex)
+        op = np.zeros((4, 4))
         for g, _ in group:
             op = op + g @ fail @ g
         out.append((op / 4.0, 0, "fail"))

@@ -204,6 +204,18 @@ class TestEnsemble:
             same_bits(state, product_state(a, p))
         assert np.array_equal(ens.priors, np.full(1 << n, 1.0 / (1 << n)))
 
+    @pytest.mark.parametrize("deg", [0.0, 30.0, 45.0, 90.0])
+    def test_states_are_float64(self, deg):
+        # the pair is real at every real angle, and so is every product
+        a = Angle.from_two_theta_deg(deg)
+        for s in (+1, -1):
+            assert qubit_state(a, s).dtype == np.float64
+            assert orth_state(a, s).dtype == np.float64
+        for n in (1, 3):
+            assert {s.dtype for s in uniform_ensemble(a, n).states} == {np.dtype(np.float64)}
+            for p in all_patterns(n):
+                assert product_state(a, p).dtype == np.float64
+
     def test_prior_validation(self):
         v = np.array([1.0, 0.0])
         with pytest.raises(ValueError):
