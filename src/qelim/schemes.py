@@ -273,43 +273,29 @@ def tensor(*povms: Povm) -> Povm:
     (leftmost factor most significant), its label joins theirs, and it
     excludes every pattern outside the product of their consistent sets.
 
-    The dtype follows the factors: float64 when all are real, as every
-    scheme is at a real angle, and complex128 once any factor is
-    complex; at n = 6 the 729 real operators of local_usd take 24 MB.
-
-    Each factor widens all partial products at once, with one scalar
-    multiply per factor entry: the stacked partial operators times entry
-    (x, i, j) of the factor's stacked operators fill the strided slice
-    [:, x, :, i, :, j] of the widened array, whose dtype is the
-    np.result_type of the two stacks. Every entry is the single product
-    a * b, in the same left-to-right order as a chain of kron calls, so
-    every operator is bit-identical to that chain over the factors'
-    operators; a broadcast over six axes would run numpy's inner loop
-    over axes of length 2. The effects' operators are the rows of the
-    final (outcomes, 2**n, 2**n) array.
+    The operators come from Povm.product, which keeps them factored:
+    the product of every factor but the last, beside the last factor's
+    operators. Every operator is formed from single products a * b, in
+    the same left-to-right order as a chain of kron calls, so it is
+    bit-identical to that chain over the factors' operators. The dtype
+    follows the factors: float64 when all are real, as every scheme is
+    at a real angle, and complex128 once any factor is complex.
     """
     if not povms:
         raise ValueError("tensor needs at least one POVM")
     first, *rest = povms
-    ops, *rest_ops = [np.stack([e.op for e in povm.effects]) for povm in povms]
     labels = [e.label for e in first.effects]
     keeps = [_full_mask(first.n) ^ e.excludes.mask for e in first.effects]
     width = first.n
-    for factor, f_ops in zip(rest, rest_ops):
-        (k, d), (f_k, f_d) = ops.shape[:2], f_ops.shape[:2]
-        wide = np.empty((k, f_k, d, f_d, d, f_d), dtype=np.result_type(ops, f_ops))
-        for x, i, j in np.ndindex(f_k, f_d, f_d):
-            np.multiply(ops, f_ops[x, i, j], out=wide[:, x, :, i, :, j])
-        ops = wide.reshape(k * f_k, d * f_d, d * f_d)
+    for factor in rest:
         f_keeps = [_full_mask(factor.n) ^ e.excludes.mask for e in factor.effects]
         keeps = [_place(keep, f_keep, width) for keep in keeps for f_keep in f_keeps]
         labels = [label + e.label for label in labels for e in factor.effects]
         width += factor.n
-    return Povm(
-        tuple(
-            Effect(op, ExclusionSet(width, _full_mask(width) ^ keep), label)
-            for op, label, keep in zip(ops, labels, keeps)
-        )
+    return Povm.product(
+        [np.stack([e.op for e in povm.effects]) for povm in povms],
+        [ExclusionSet(width, _full_mask(width) ^ keep) for keep in keeps],
+        labels,
     )
 
 

@@ -138,8 +138,10 @@ class Ensemble:
         if any(len(s) != dim for s in self.states):
             raise ValueError("all states must share one dimension")
         p = np.asarray(self.priors, dtype=float)
-        if np.any(p < -1e-15) or abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError("priors must be nonnegative and sum to 1")
+        # every comparison with NaN is false, so a NaN prior fails this
+        # test as written; an infinite one makes the sum miss 1
+        if not (np.all(p >= -1e-15) and abs(float(p.sum()) - 1.0) <= 1e-12):
+            raise ValueError("priors must be finite, nonnegative and sum to 1")
 
     @property
     def size(self) -> int:

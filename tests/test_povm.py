@@ -5,6 +5,7 @@ import pytest
 
 from qelim.linalg import DimensionMismatch, NotHermitian, eig_hermitian, frob_dist
 from qelim.povm import (
+    _STACK_ENTRIES,
     DEFAULT_TOL,
     Effect,
     ExclusionSet,
@@ -12,6 +13,7 @@ from qelim.povm import (
     Povm,
     ValidationReport,
     _clicks,
+    _ProductEffect,
     outcome_probabilities,
     validate,
 )
@@ -22,9 +24,11 @@ from qelim.schemes import (
     local_usd,
     pbr_basis,
     symmetrize,
+    tensor,
     usd_qubit,
 )
 from qelim.states import Angle, Ensemble, uniform_ensemble
+from qelim.verify import monte_carlo
 
 
 class TestExclusionSet:
@@ -161,6 +165,39 @@ class TestValidate:
         assert np.isnan(report.min_eigenvalues[0])
         assert np.isnan(report.unambiguity_residuals[0])
         assert report.min_eigenvalues[1] == pytest.approx(0.5, abs=1e-15)
+        assert report.unambiguity_residuals[1] == 0.0
+
+    def test_nan_ensemble_fails_an_invalid_povm(self):
+        # eliminate_one(10 deg) clicks on patterns it excludes at 30 deg;
+        # NaN states must not hide that behind NaN clicks
+        povm = eliminate_one(Angle.from_two_theta_deg(10.0))
+        ens = uniform_ensemble(Angle.from_two_theta_deg(30.0), 2)
+        assert not validate(povm, ens).ok
+        nan_ens = Ensemble(tuple(np.full(4, np.nan) for _ in range(4)), ens.priors)
+        report = validate(povm, nan_ens)
+        assert not report.ok
+        for e, resid in zip(povm.effects, report.unambiguity_residuals):
+            if e.excludes.is_failure:
+                assert resid == 0.0
+                continue
+            assert np.isnan(resid)
+            (p,) = e.excludes.patterns()
+            assert f"{e.label}: excluded pattern {p} has click probability nan" in report.violations
+
+    def test_infinite_click_is_a_violation_with_nan_residual(self):
+        # a state of norm 1e200 overflows its click to inf
+        ens = uniform_ensemble(Angle.from_two_theta_deg(45.0), 1)
+        states = (np.array([1e200, 0.0]), ens.states[1])
+        p = Povm(
+            effects=(
+                Effect(op=np.diag([1.0, 0.0]), excludes=ExclusionSet.of(1, "+"), label="x"),
+                Effect(op=np.diag([0.0, 1.0]), excludes=ExclusionSet(n=1, mask=0)),
+            )
+        )
+        with np.errstate(over="ignore"):
+            report = validate(p, Ensemble(states, ens.priors))
+        assert report.violations == ["x: excluded pattern + has click probability inf"]
+        assert np.isnan(report.unambiguity_residuals[0])
         assert report.unambiguity_residuals[1] == 0.0
 
     def test_dimension_mismatch_with_ensemble(self):
@@ -420,7 +457,7 @@ class TestStackedClicks:
     @pytest.mark.parametrize("build, deg", _stacked_click_cases())
     def test_stacked_products_equal_per_effect_loop(self, build, deg, same_bits):
         # _clicks takes the operators in stacks, several products per
-        # call (local_usd at n = 4 and 6 spans several stacks); each click
+        # call (local_usd at n = 6 spans many stacks); each click
         # must keep the bits of the per-effect product whatever the dtypes:
         # real states, complex-typed copies of them, and a phased POVM
         # with real or phased states
@@ -446,3 +483,77 @@ class TestStackedClicks:
             assert want.shape == (len(povm.effects), 1 << povm.n)
             same_bits(_clicks(p, s), want)
 
+
+
+def dense_copy(povm):
+    """The same POVM with every operator formed and held by its effect."""
+    return Povm(tuple(Effect(e.op.copy(), e.excludes, e.label) for e in povm.effects))
+
+
+def _product_cases():
+    cases = [(n, deg) for n in range(1, 6) for deg in (0.0, 30.0, 57.0, 90.0)]
+    cases += [(6, 30.0), (6, 75.5)]
+    return [pytest.param(n, deg, id=f"local-usd-{n}-{deg:g}") for n, deg in cases]
+
+
+class TestProductPovm:
+    """tensor's factored POVMs against dense copies of themselves."""
+
+    @staticmethod
+    def assert_same_calls(product, ens, same_bits):
+        dense = dense_copy(product)
+        got, want = validate(product, ens), validate(dense, ens)
+        valid = want.ok
+        assert got.violations == want.violations
+        same_bits(got.min_eigenvalues, want.min_eigenvalues)
+        same_bits(got.unambiguity_residuals, want.unambiguity_residuals)
+        same_bits(got.completeness_residual, want.completeness_residual)
+        got, want = outcome_probabilities(product, ens), outcome_probabilities(dense, ens)
+        same_bits(got.probs, want.probs)
+        assert (got.fail_prob, got.avg_eliminated) == (want.fail_prob, want.avg_eliminated)
+        if valid:
+            got = monte_carlo(product, ens, 10 ** 6, 3)
+            want = monte_carlo(dense, ens, 10 ** 6, 3)
+            assert got.counts == want.counts
+            assert got.analytic == want.analytic
+        return valid
+
+    @pytest.mark.parametrize("n, deg", _product_cases())
+    def test_local_usd_same_bits_as_dense(self, n, deg, same_bits):
+        a = Angle.from_two_theta_deg(deg)
+        assert self.assert_same_calls(local_usd(a, n), uniform_ensemble(a, n), same_bits)
+
+    @pytest.mark.parametrize("deg", [30.0, 70.0])
+    def test_phased_tensor_same_bits_as_dense(self, deg, same_bits):
+        # complex operators on real states, which they are not
+        # unambiguous for, and on states given the same phases
+        a = Angle.from_two_theta_deg(deg)
+        d = np.exp(1j * np.arange(4))
+        phased = Povm(
+            tuple(Effect(d[:, None] * e.op * d.conj(), e.excludes, e.label)
+                  for e in eliminate_two(a).effects)
+        )
+        product = tensor(usd_qubit(a), phased, usd_qubit(a))
+        ens = uniform_ensemble(a, 4)
+        d_all = np.kron(np.kron(np.ones(2), d), np.ones(2))
+        assert not self.assert_same_calls(product, ens, same_bits)
+        ens = Ensemble(tuple(d_all * s for s in ens.states), ens.priors)
+        assert self.assert_same_calls(product, ens, same_bits)
+
+    def test_stacks_stay_bounded_and_reading_forms_no_operator(self, monkeypatch):
+        # construction, dim, validate and outcome_probabilities read the
+        # factors, never an effect's op, and no stack exceeds _STACK_ENTRIES
+        def refuse(effect):
+            raise AssertionError("an operator was formed through Effect.op")
+
+        a = Angle.from_two_theta_deg(57.0)
+        monkeypatch.setattr(_ProductEffect, "op", property(refuse))
+        for n in (2, 4, 6):
+            povm = local_usd(a, n)
+            assert povm.dim == 1 << n
+            ens = uniform_ensemble(a, n)
+            assert validate(povm, ens).ok
+            outcome_probabilities(povm, ens)
+            sizes = [ops.size for ops in povm._stacks()]
+            assert sum(sizes) == 3 ** n * 4 ** n
+            assert max(sizes) <= _STACK_ENTRIES

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from qelim.schemes import (
     usd_qubit,
 )
 from qelim.states import Angle, uniform_ensemble
+from qelim.verify import audit_bound
 
 
 def fail_effect(povm):
@@ -416,35 +418,34 @@ class TestLocalUsd:
 
     @pytest.mark.parametrize("deg", [0.0, 17.0, 45.0, 63.0, 90.0])
     def test_matches_per_pattern_loop(self, deg, same_bits):
-        # the operators are real: bit for bit the np.kron chain of the
-        # usd_qubit operators' real parts, and in value the complex chain
+        # bit for bit the np.kron chain of the usd_qubit operators
         a = Angle.from_two_theta_deg(deg)
-        real_ops = {ch: e.op.real for ch, e in zip("+-f", usd_qubit(a).effects)}
+        ops = {ch: e.op for ch, e in zip("+-f", usd_qubit(a).effects)}
         for n in range(1, MAX_LOCAL_QUBITS + 1):
             got = local_usd(a, n).effects
             want = reference_local_usd(a, n)
             assert len(got) == len(want) == 3 ** n
             for e, (op, label, mask) in zip(got, want):
-                same_bits(e.op, functools.reduce(np.kron, [real_ops[ch] for ch in label]))
-                assert not op.imag.any()
-                assert np.array_equal(e.op, op.real)
+                same_bits(e.op, functools.reduce(np.kron, [ops[ch] for ch in label]))
+                assert np.array_equal(e.op, op)
                 assert e.label == label
                 assert e.excludes.n == n
                 assert e.excludes.mask == mask
 
-    def test_real_operators_share_one_buffer(self):
-        # 729 float64 operators of 64 x 64 in one array: 24 MB, where
-        # complex128 would take 48
-        povm = local_usd(Angle.from_two_theta_deg(45.0), 6)
-        roots = set()
-        for e in povm.effects:
-            assert e.op.dtype == np.float64
-            root = e.op
-            while root.base is not None:
-                root = root.base
-            roots.add(id(root))
-        assert len(roots) == 1
-        assert root.nbytes == 729 * 64 * 64 * 8
+    def test_audit_never_holds_every_operator(self):
+        # the 729 float64 operators of 64 x 64 would take 24 MB at once;
+        # the product keeps a 2 MB prefix and forms one stack at a time
+        a = Angle.from_two_theta_deg(45.0)
+        tracemalloc.start()
+        try:
+            povm = local_usd(a, 6)
+            report = audit_bound(povm, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 6 * 2 ** 20
+        assert {e.op.dtype for e in povm.effects} == {np.dtype(np.float64)}
 
 
 def reference_local_usd(angle, n):
@@ -514,21 +515,13 @@ class TestTensor:
                 for e in two.effects
             )
         )
-        # all-real factors give real operators: bit for bit the np.kron
-        # chain of their real parts, and in value the complex chain
+        # real or complex, every operator is bit for bit the np.kron chain
         for factors in [(usd, two), (usd, two, usd), (phased, usd, phased), (usd, phased)]:
             povm = tensor(*factors)
-            real = all(m is not phased for m in factors)
             outcomes = list(itertools.product(*[m.effects for m in factors]))
             assert len(povm.effects) == len(outcomes)
             for e, parts in zip(povm.effects, outcomes):
-                want = functools.reduce(np.kron, [part.op for part in parts])
-                if real:
-                    same_bits(e.op, functools.reduce(np.kron, [part.op.real for part in parts]))
-                    assert not want.imag.any()
-                    assert np.array_equal(e.op, want.real)
-                else:
-                    same_bits(e.op, want)
+                same_bits(e.op, functools.reduce(np.kron, [part.op for part in parts]))
                 assert e.label == "".join(part.label for part in parts)
 
     def test_one_complex_factor_keeps_every_operator_complex(self):

@@ -225,6 +225,17 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             Ensemble(states=(v, v), priors=(1.5, -0.5))
 
+    @pytest.mark.parametrize(
+        "priors",
+        [(np.nan, 1.0), (np.nan, np.nan), (np.inf, 0.0), (np.inf, -np.inf), (1.0, -np.inf)],
+    )
+    def test_rejects_nonfinite_priors(self, priors):
+        # NaN fails every comparison, so a check written as "reject if
+        # negative or off 1" lets it through
+        v = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            Ensemble(states=(v, v), priors=priors)
+
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             Ensemble(
