@@ -34,9 +34,8 @@ from .schemes import (
 from .states import Angle, uniform_ensemble
 from .verify import certify_one, certify_two, monte_carlo
 
-SCHEMES = ("pbr", "eliminate-one", "ancilla-one", "eliminate-two", "usd", "local-usd")
-
 DEFAULT_TOL = 1e-10
+DEFAULT_N = 2
 DEFAULT_SHOTS = 10 ** 6
 DEFAULT_SEED = 1
 SEED_ENV_VAR = "QELIM_SEED"
@@ -59,26 +58,51 @@ def _angle_from_deg(deg: float, option: str = "--two-theta-deg") -> Angle:
     return Angle.from_two_theta_deg(deg)
 
 
-def _build_scheme(scheme: str, angle: Angle, n: int):
-    """Construct the named POVM; n is read only by local-usd."""
-    if scheme == "pbr":
-        return pbr_basis(angle)
-    if scheme == "eliminate-one":
-        if angle.two_theta >= math.pi / 4.0:
-            raise UnsupportedAngle(
-                "eliminate-one covers 0 <= 2*theta < 45 deg; use "
-                "--scheme ancilla-one for 45 <= 2*theta <= 90 deg"
-            )
-        return eliminate_one(angle)
-    if scheme == "ancilla-one":
-        return ancilla_eliminate_one(angle)
-    if scheme == "eliminate-two":
-        return eliminate_two(angle)
-    if scheme == "usd":
-        return usd_qubit(angle)
-    if scheme == "local-usd":
-        return local_usd(angle, n)
-    raise UnsupportedAngle(f"unknown scheme {scheme!r}")
+def _eliminate_one(angle: Angle):
+    """eliminate_one, with a domain error that points to ancilla-one."""
+    if angle.two_theta >= math.pi / 4.0:
+        raise UnsupportedAngle(
+            "eliminate-one covers 0 <= 2*theta < 45 deg; use "
+            "--scheme ancilla-one for 45 <= 2*theta <= 90 deg"
+        )
+    return eliminate_one(angle)
+
+
+# --scheme name: (qubits, builder, certifier). A qubit count of None
+# means the builder takes the count from --n.
+SCHEMES = {
+    "pbr": (2, pbr_basis, None),
+    "eliminate-one": (2, _eliminate_one, certify_one),
+    "ancilla-one": (2, ancilla_eliminate_one, None),
+    "eliminate-two": (2, eliminate_two, certify_two),
+    "usd": (1, usd_qubit, None),
+    "local-usd": (None, local_usd, None),
+}
+
+
+def _qubits(args) -> int:
+    """The scheme's qubit count; a fixed-size scheme refuses any other --n."""
+    qubits = SCHEMES[args.scheme][0]
+    if qubits is None:
+        return DEFAULT_N if args.n is None else args.n
+    if args.n not in (None, qubits):
+        unit = "qubit" if qubits == 1 else "qubits"
+        raise ValueError(f"--scheme {args.scheme} acts on {qubits} {unit}, got --n {args.n}")
+    return qubits
+
+
+def _build(args, angle: Angle):
+    """The scheme's POVM at angle, once --n has passed the qubit check."""
+    qubits, build, _ = SCHEMES[args.scheme]
+    n = _qubits(args)
+    return build(angle) if qubits else build(angle, n)
+
+
+def _setup(args, angle: Angle, **config):
+    """The scheme's POVM at angle, its uniform ensemble and the run's config."""
+    povm = _build(args, angle)
+    config = {"scheme": args.scheme, "two_theta_deg": args.two_theta_deg, "n": povm.n, **config}
+    return povm, uniform_ensemble(angle, povm.n), config
 
 
 def _resolve_seed(args) -> int:
@@ -98,20 +122,24 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _emit(args, command: str, config: dict, result: dict, rows: list, columns: list):
-    """Write JSON (nested) or CSV (tabular rows) to --out or stdout."""
-    fmt = args.format or ("csv" if command == "sweep" else "json")
+def _emit(args, config: dict, result: dict, rows: list, columns: list | None = None):
+    """Write JSON (nested) or CSV (tabular rows) to --out or stdout.
+
+    CSV columns are the first row's keys unless columns is given.
+    """
+    fmt = args.format or ("csv" if args.command == "sweep" else "json")
     if fmt == "json":
         text = json.dumps(
-            {"command": command, "config": config, "result": result}, indent=2
+            {"command": args.command, "config": config, "result": result}, indent=2
         )
         text += "\n"
     else:
+        columns = columns or list(rows[0])
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row.get(c, "")) for c in columns])
+            writer.writerow([_fmt(row[c]) for c in columns])
         text = buf.getvalue()
     if args.out:
         try:
@@ -126,14 +154,8 @@ def _emit(args, command: str, config: dict, result: dict, rows: list, columns: l
 
 def _cmd_validate(args) -> int:
     angle = _angle_from_deg(args.two_theta_deg)
-    povm = _build_scheme(args.scheme, angle, args.n)
-    report = validate(povm, uniform_ensemble(angle, povm.n), tol=args.tol)
-    config = {
-        "scheme": args.scheme,
-        "two_theta_deg": args.two_theta_deg,
-        "n": povm.n,
-        "tol": args.tol,
-    }
+    povm, ensemble, config = _setup(args, angle, tol=args.tol)
+    report = validate(povm, ensemble, tol=args.tol)
     result = {
         "ok": report.ok,
         "violations": report.violations,
@@ -151,22 +173,14 @@ def _cmd_validate(args) -> int:
         }
         for i, e in enumerate(povm.effects)
     ]
-    cols = [
-        "effect",
-        "min_eigenvalue",
-        "unambiguity_residual",
-        "completeness_residual",
-        "ok",
-    ]
-    _emit(args, "validate", config, result, rows, cols)
+    _emit(args, config, result, rows)
     return 0 if report.ok else 1
 
 
 def _cmd_probs(args) -> int:
     angle = _angle_from_deg(args.two_theta_deg)
-    povm = _build_scheme(args.scheme, angle, args.n)
-    stats = outcome_probabilities(povm, uniform_ensemble(angle, povm.n))
-    config = {"scheme": args.scheme, "two_theta_deg": args.two_theta_deg, "n": povm.n}
+    povm, ensemble, config = _setup(args, angle)
+    stats = outcome_probabilities(povm, ensemble)
     result = {
         "labels": stats.labels,
         "probs": [float(p) for p in stats.probs],
@@ -181,7 +195,7 @@ def _cmd_probs(args) -> int:
         }
         for e, p in zip(povm.effects, stats.probs)
     ]
-    _emit(args, "probs", config, result, rows, ["label", "probability", "excluded_count"])
+    _emit(args, config, result, rows)
     return 0
 
 
@@ -202,7 +216,7 @@ def _cmd_sweep(args) -> int:
     columns = ["two_theta_deg", "fail_prob"]
     for deg in degs:
         angle = _angle_from_deg(deg)
-        povm = _build_scheme(args.scheme, angle, args.n)
+        povm = _build(args, angle)
         stats = outcome_probabilities(povm, uniform_ensemble(angle, povm.n))
         row = {"two_theta_deg": deg, "fail_prob": stats.fail_prob}
         for e, p in zip(povm.effects, stats.probs):
@@ -225,7 +239,7 @@ def _cmd_sweep(args) -> int:
         "n": povm.n,
     }
     result = {"columns": columns, "rows": [[r.get(c) for c in columns] for r in rows]}
-    _emit(args, "sweep", config, result, rows, columns)
+    _emit(args, config, result, rows, columns)
     return 0
 
 
@@ -234,15 +248,8 @@ def _cmd_simulate(args) -> int:
     if args.shots < 1:
         raise ValueError("--shots must be at least 1")
     seed = _resolve_seed(args)
-    povm = _build_scheme(args.scheme, angle, args.n)
-    sim = monte_carlo(povm, uniform_ensemble(angle, povm.n), args.shots, seed)
-    config = {
-        "scheme": args.scheme,
-        "two_theta_deg": args.two_theta_deg,
-        "n": povm.n,
-        "shots": args.shots,
-        "seed": seed,
-    }
+    povm, ensemble, config = _setup(args, angle, shots=args.shots, seed=seed)
+    sim = monte_carlo(povm, ensemble, args.shots, seed)
     result = {
         "labels": sim.labels,
         "counts": sim.counts,
@@ -261,27 +268,18 @@ def _cmd_simulate(args) -> int:
         }
         for lab, cnt, frq, ana in zip(sim.labels, sim.counts, sim.freqs, sim.analytic)
     ]
-    _emit(
-        args,
-        "simulate",
-        config,
-        result,
-        rows,
-        ["label", "count", "frequency", "analytic", "abs_dev"],
-    )
+    _emit(args, config, result, rows)
     return 0
 
 
 def _cmd_certify(args) -> int:
     angle = _angle_from_deg(args.two_theta_deg)
-    if args.scheme == "eliminate-one":
-        report = certify_one(angle)
-    elif args.scheme == "eliminate-two":
-        report = certify_two(angle)
-    else:
-        raise ValueError(
-            "certify supports --scheme eliminate-one or eliminate-two"
-        )
+    certifier = SCHEMES[args.scheme][2]
+    if certifier is None:
+        certified = " or ".join(name for name, entry in SCHEMES.items() if entry[2])
+        raise ValueError(f"certify supports --scheme {certified}")
+    _qubits(args)
+    report = certifier(angle)
     config = {"scheme": args.scheme, "two_theta_deg": args.two_theta_deg}
     result = {
         "claim": report.claim,
@@ -291,14 +289,8 @@ def _cmd_certify(args) -> int:
         "params": report.params,
         "verdict": report.verdict,
     }
-    row = {
-        "claim": report.claim,
-        "closed_form": report.closed_form,
-        "oracle": report.oracle,
-        "gap": report.gap,
-        "verdict": report.verdict,
-    }
-    _emit(args, "certify", config, result, [row], list(row.keys()))
+    row = {k: v for k, v in result.items() if k != "params"}
+    _emit(args, config, result, [row])
     return 0 if report.ok else 1
 
 
@@ -327,14 +319,7 @@ def _cmd_bounds(args) -> int:
         }
         for k, cap in report.per_k_caps
     ]
-    _emit(
-        args,
-        "bounds",
-        config,
-        result,
-        rows,
-        ["n", "two_theta_deg", "bound", "disc_gap", "k", "cap"],
-    )
+    _emit(args, config, result, rows)
     return 0
 
 
@@ -364,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scheme", required=True, choices=SCHEMES)
         if angle:
             p.add_argument("--two-theta-deg", type=float, required=True)
-        p.add_argument("--n", type=int, default=2)
+        p.add_argument("--n", type=int, default=None if scheme else DEFAULT_N)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default=None)
 

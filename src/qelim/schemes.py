@@ -116,14 +116,12 @@ def eliminate_one(angle: Angle) -> Povm:
     t = math.tan(angle.theta)
     base = np.array([t * (1.0 + 0.5 * t), -0.5, -0.5, -0.5])
 
-    effects = []
-    for flip in range(4):
-        signs = np.array(
-            [(-1.0) ** ((idx >> 1) * (flip & 1) + (idx & 1) * ((flip >> 1) & 1))
-             for idx in range(4)]
-        )
-        vec = base * signs
-        effects.append(Effect(projector(vec), *_SINGLES[flip]))
+    # sign flip b maps the effect that excludes ++ to the one that
+    # excludes pattern b; the flip's diagonal holds its signs
+    effects = [
+        Effect(projector(base * signs), *_SINGLES[flip])
+        for flip, signs in enumerate(np.diagonal(_SIGN_FLIPS, axis1=1, axis2=2))
+    ]
     fail_coef = 1.0 - t * t * (2.0 + t) ** 2
     fail_op = np.zeros((4, 4))
     fail_op[0, 0] = fail_coef

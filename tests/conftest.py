@@ -1,6 +1,12 @@
 """Shared fixtures."""
 
 import math
+import os
+
+# One BLAS thread, set before numpy loads: a multi-threaded BLAS slows
+# the small products the tests make whenever another process holds a CPU.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

@@ -99,6 +99,14 @@ def _other_runs() -> list:
         ["certify", "--scheme", "usd", "--two-theta-deg", "30"],
         ["certify", "--scheme", "eliminate-one", "--two-theta-deg", "50"],
         ["bounds", "--two-theta-deg", "30", "--n", "0"],
+        # --n given to a fixed-size scheme: accepted when it matches, else exit 2
+        ["probs", "--scheme", "usd", "--two-theta-deg", "30", "--n", "1"],
+        ["validate", "--scheme", "pbr", "--two-theta-deg", "45", "--n", "5"],
+        ["probs", "--scheme", "usd", "--two-theta-deg", "30", "--n", "0"],
+        ["simulate", "--scheme", "eliminate-two", "--two-theta-deg", "60", "--seed", "1",
+         "--n", "3"],
+        ["sweep", "--scheme", "usd", "--from", "0", "--to", "90", "--steps", "3", "--n", "9"],
+        ["certify", "--scheme", "eliminate-one", "--two-theta-deg", "20", "--n", "7"],
     ]
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import qelim
 from qelim.analysis import local_avg_eliminated, pair_threshold
-from qelim.cli import DEFAULT_SEED, SEED_ENV_VAR, main
+from qelim.cli import DEFAULT_SEED, SCHEMES, SEED_ENV_VAR, main
 from qelim.povm import outcome_probabilities
 from qelim.schemes import eliminate_two
 from qelim.states import Angle, uniform_ensemble
@@ -275,7 +275,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("scheme, n", [("usd", 1), ("eliminate-two", 2), ("local-usd", 3)])
     def test_bound_is_the_local_benchmark_on_the_schemes_qubits(self, capsys, scheme, n):
         argv = ["sweep", "--scheme", scheme, "--from", "30", "--to", "90", "--steps", "3"]
-        code, out, _ = run_cli(capsys, argv + ["--n", "3", "--format", "json"])
+        code, out, _ = run_cli(capsys, argv + ["--n", str(n), "--format", "json"])
         assert code == 0
         doc = parse_json(out)
         assert doc["config"]["n"] == n
@@ -327,7 +327,7 @@ class TestSweepCommand:
         assert len(doc["result"]["rows"]) == 3
         assert doc["config"]["steps"] == 3
 
-    @pytest.mark.parametrize("scheme, n, want", [("usd", "2", 1), ("local-usd", "3", 3)])
+    @pytest.mark.parametrize("scheme, n, want", [("usd", "1", 1), ("local-usd", "3", 3)])
     def test_config_records_qubit_count(self, capsys, scheme, n, want):
         code, out, _ = run_cli(
             capsys,
@@ -517,6 +517,92 @@ class TestCertifyCommand:
         )
         assert code == 2
         assert "certify" in err
+
+
+class TestSchemeTable:
+    # An angle (2t in degrees) inside each scheme's domain.
+    IN_DOMAIN = {
+        "pbr": "45",
+        "eliminate-one": "30",
+        "ancilla-one": "60",
+        "eliminate-two": "60",
+        "usd": "30",
+        "local-usd": "57",
+    }
+    FIXED = [name for name, (qubits, _, _) in SCHEMES.items() if qubits is not None]
+
+    def test_every_scheme_has_an_angle_here(self):
+        assert set(self.IN_DOMAIN) == set(SCHEMES)
+
+    @pytest.mark.parametrize("name", FIXED)
+    def test_builder_acts_on_the_declared_qubits(self, name):
+        qubits, build, _ = SCHEMES[name]
+        assert build(Angle.from_two_theta_deg(float(self.IN_DOMAIN[name]))).n == qubits
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_local_usd_acts_on_n_qubits(self, capsys, n):
+        qubits, build, _ = SCHEMES["local-usd"]
+        assert qubits is None
+        assert build(Angle.from_two_theta_deg(57.0), n).n == n
+        argv = ["probs", "--scheme", "local-usd", "--two-theta-deg", "57", "--n", str(n)]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert parse_json(out)["config"]["n"] == n
+
+    def test_local_usd_defaults_to_two_qubits(self, capsys):
+        code, out, _ = run_cli(capsys, ["probs", "--scheme", "local-usd", "--two-theta-deg", "57"])
+        assert code == 0
+        assert parse_json(out)["config"]["n"] == 2
+
+    def test_certifiers_only_for_the_elimination_schemes(self):
+        certified = {name for name, (_, _, certifier) in SCHEMES.items() if certifier}
+        assert certified == {"eliminate-one", "eliminate-two"}
+
+    @pytest.mark.parametrize("command", ["validate", "probs", "simulate"])
+    @pytest.mark.parametrize("name", FIXED)
+    def test_matching_n_changes_nothing(self, capsys, command, name):
+        argv = [command, "--scheme", name, "--two-theta-deg", self.IN_DOMAIN[name]]
+        argv += ["--shots", "1000", "--seed", "3"] if command == "simulate" else []
+        code, plain, _ = run_cli(capsys, argv)
+        given = run_cli(capsys, argv + ["--n", str(SCHEMES[name][0])])
+        assert (code, plain) == given[:2] and given[2] == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["validate", "--scheme", "pbr", "--two-theta-deg", "45", "--n", "5"],
+             "--scheme pbr acts on 2 qubits, got --n 5"),
+            (["probs", "--scheme", "usd", "--two-theta-deg", "30", "--n", "0"],
+             "--scheme usd acts on 1 qubit, got --n 0"),
+            (["sweep", "--scheme", "usd", "--from", "0", "--to", "90", "--steps", "3",
+              "--n", "9"],
+             "--scheme usd acts on 1 qubit, got --n 9"),
+            (["simulate", "--scheme", "ancilla-one", "--two-theta-deg", "60", "--seed", "1",
+              "--n", "1"],
+             "--scheme ancilla-one acts on 2 qubits, got --n 1"),
+            (["certify", "--scheme", "eliminate-two", "--two-theta-deg", "40", "--n", "7"],
+             "--scheme eliminate-two acts on 2 qubits, got --n 7"),
+        ],
+    )
+    def test_mismatched_n_exits_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"qelim {argv[0]}: {message}\n"
+
+    def test_checks_run_in_order(self, capsys):
+        # with several faults, the first check in the order angle, shots,
+        # seed, --n, scheme domain reports
+        argv = ["simulate", "--scheme", "eliminate-one", "--two-theta-deg", "95",
+                "--shots", "0", "--seed", "-1", "--n", "3"]
+        fixes = [("--two-theta-deg", "60"), ("--shots", "10"), ("--seed", "1"), ("--n", "2")]
+        wants = ["--two-theta-deg must lie", "--shots must be", "seed must be",
+                 "acts on 2 qubits", "use --scheme ancilla-one"]
+        for (option, value), want in zip(fixes + [(None, None)], wants):
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (2, "")
+            assert want in err
+            if option:
+                argv[argv.index(option) + 1] = value
 
 
 class TestBoundsCommand:

@@ -143,6 +143,19 @@ class TestEliminateOne:
         stats = outcome_probabilities(eliminate_one(a), uniform_ensemble(a, 2))
         assert stats.fail_prob == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("deg", ANGLES)
+    def test_matches_per_pattern_signs(self, deg, same_bits):
+        # effect b is the projector on base * s_b, where s_b flips the
+        # sign of every entry whose pattern differs from ++ where b does
+        a = Angle.from_two_theta_deg(deg)
+        t = math.tan(a.theta)
+        base = np.array([t * (1.0 + 0.5 * t), -0.5, -0.5, -0.5])
+        for b, e in enumerate(eliminate_one(a).effects[:4]):
+            signs = np.array(
+                [(-1.0) ** ((idx >> 1) * (b & 1) + (idx & 1) * (b >> 1)) for idx in range(4)]
+            )
+            same_bits(e.op, outer(base * signs, base * signs))
+
 
 class TestAncillaEliminateOne:
     ANGLES = [45.0, 50.0, 55.0, 65.0, 75.0, 85.0, 90.0]
